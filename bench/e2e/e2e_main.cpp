@@ -12,7 +12,7 @@
 /// (--trace 1). Per-layer numbers come from a separate traced run in which
 /// each op runs three times from the same state: untraced through the entry
 /// point, traced through the entry point (obs on), and as a serial replay
-/// through the layer functions with one span per call.
+/// through the layer functions with one obs::Span per call.
 
 #include <sys/resource.h>
 
@@ -23,6 +23,7 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <stdexcept>
 #include <sstream>
 #include <string>
@@ -76,49 +77,62 @@ double ratio(double num, double den, double if_empty = 0.0) {
   return den > 0.0 ? num / den : if_empty;
 }
 
-/// Timing of one stretch of consecutive ops.
-struct BlockStats {
+/// Timing of one run's ops.
+struct TimingStats {
   double p50_ms = 0.0;
   double p90_ms = 0.0;
   double ops_per_s = 0.0;
   double cpu_ms_per_op = 0.0;
 };
 
-/// The best value of each timing over ten consecutive blocks of equal op
-/// count (fewer ops than blocks: one block). Neighbours on a shared VM slow
-/// stretches of seconds to minutes by up to 40%; like the minimum of
-/// repetitions, the best block reads the program on the least disturbed
-/// stretch of the run, where one-pass tails swung by 20% between runs.
-BlockStats best_block(const std::vector<double>& op_ms,
-                      const std::vector<double>& cpu_ms) {
+/// Neighbours on a shared VM slow stretches of seconds to minutes of a run,
+/// every op in them by up to 40%. So the ops are cut into ten consecutive
+/// blocks (fewer ops than blocks: one block), and
+/// - p50, ops/s and CPU per op come from the quiet half: the ops of the five
+///   blocks with the lowest median, pooled. A stretch covering less than
+///   half the run drops out; a slowdown of the program on most ops stays.
+/// - p90 is that p50 times the 90th percentile, over every op of the run, of
+///   the op's time over its own block's median. Every op and every stall
+///   counts, while the host's speed in each block cancels.
+TimingStats timing_stats(const std::vector<double>& op_ms,
+                         const std::vector<double>& cpu_ms) {
   constexpr std::size_t kBlocks = 10;
   const std::size_t blocks = op_ms.size() < kBlocks ? 1 : kBlocks;
   const std::size_t size = op_ms.size() / blocks;
-  BlockStats best;
+  struct Block {
+    std::size_t from;
+    std::size_t to;
+    double median_ms;
+  };
+  std::vector<Block> parts;
+  std::vector<double> relative;  // op time over its block's median
   for (std::size_t b = 0; b < blocks; ++b) {
-    const auto from = static_cast<std::ptrdiff_t>(b * size);
-    const auto to = static_cast<std::ptrdiff_t>(
-        b + 1 == blocks ? op_ms.size() : (b + 1) * size);
-    const std::vector<double> ms(op_ms.begin() + from, op_ms.begin() + to);
-    double wall = 0.0;
-    double cpu = 0.0;
-    for (auto i = from; i < to; ++i) {
-      wall += op_ms[static_cast<std::size_t>(i)];
-      cpu += cpu_ms[static_cast<std::size_t>(i)];
-    }
-    const auto n = static_cast<double>(ms.size());
-    const BlockStats block{median(ms), percentile_of(ms, 90.0),
-                           ratio(n, wall * 1e-3), cpu / n};
-    if (b == 0) {
-      best = block;
-      continue;
-    }
-    best.p50_ms = std::min(best.p50_ms, block.p50_ms);
-    best.p90_ms = std::min(best.p90_ms, block.p90_ms);
-    best.ops_per_s = std::max(best.ops_per_s, block.ops_per_s);
-    best.cpu_ms_per_op = std::min(best.cpu_ms_per_op, block.cpu_ms_per_op);
+    const std::size_t from = b * size;
+    const std::size_t to = b + 1 == blocks ? op_ms.size() : from + size;
+    const double block_median = median(
+        std::vector<double>(op_ms.begin() + static_cast<std::ptrdiff_t>(from),
+                            op_ms.begin() + static_cast<std::ptrdiff_t>(to)));
+    parts.push_back({from, to, block_median});
+    for (std::size_t i = from; i < to; ++i)
+      relative.push_back(ratio(op_ms[i], block_median, 1.0));
   }
-  return best;
+  std::sort(parts.begin(), parts.end(), [](const Block& a, const Block& b) {
+    return a.median_ms < b.median_ms;
+  });
+  std::vector<double> quiet_ms;
+  double wall_ms = 0.0;
+  double quiet_cpu_ms = 0.0;
+  for (std::size_t b = 0; b < (blocks + 1) / 2; ++b) {
+    for (std::size_t i = parts[b].from; i < parts[b].to; ++i) {
+      quiet_ms.push_back(op_ms[i]);
+      wall_ms += op_ms[i];
+      quiet_cpu_ms += cpu_ms[i];
+    }
+  }
+  const double p50 = median(quiet_ms);
+  const auto n = static_cast<double>(quiet_ms.size());
+  return {p50, p50 * percentile_of(relative, 90.0), ratio(n, wall_ms * 1e-3),
+          ratio(quiet_cpu_ms, n)};
 }
 
 struct Metric {
@@ -133,7 +147,8 @@ struct RunOptions {
   double seconds = 15.0;
   bool trace = false;
   std::size_t max_ops = 0;  ///< 0 = no cap
-  int setup_reps = 5;
+  int min_setup_reps = 5;
+  double min_setup_seconds = 1.0;
   double warmup_seconds = 2.0;
   std::string trace_out;
 };
@@ -160,9 +175,15 @@ void note_failure(std::size_t op, const std::string& what) {
 }
 
 /// Runs untimed ops for `warmup_seconds` (on an idle VM the first second of
-/// an op stream runs up to twice as slow), then sets up `setup_reps` times
-/// from scratch and returns the median set-up wall time. The last set-up
-/// restarts the input stream, so the measured ops depend on the seed only.
+/// an op stream runs up to twice as slow), then sets the workload up from
+/// scratch and returns the median set-up wall time. A set-up builds the
+/// input stream, warms what a user would have warm and runs the first op
+/// through the entry point. Resetting the op's state (a cache clear, a fresh
+/// journal directory) and its check stay untimed, as for every op. Set-ups
+/// repeat at least `min_setup_reps` times and until they took
+/// `min_setup_seconds` in all: five 60 ms set-ups too often fell within one
+/// slow stretch of the host. The last set-up restarts the input stream, so
+/// the measured ops depend on the seed only.
 double timed_setup(Workload& workload, const RunOptions& options) {
   if (options.warmup_seconds > 0.0) {
     workload.setup(options.seed);
@@ -173,11 +194,23 @@ double timed_setup(Workload& workload, const RunOptions& options) {
       workload.run_entry();
     }
   }
+  constexpr int kMaxSetupReps = 25;
   std::vector<double> setups;
-  for (int rep = 0; rep < options.setup_reps; ++rep) {
+  double total = 0.0;
+  for (int rep = 0; rep < options.min_setup_reps ||
+                    (total < options.min_setup_seconds && rep < kMaxSetupReps);
+       ++rep) {
     const auto start = Clock::now();
     workload.setup(options.seed);
-    setups.push_back(seconds_since(start));
+    workload.next_input();
+    double seconds = seconds_since(start);
+    workload.reset_state();
+    const auto op_start = Clock::now();
+    workload.run_entry();
+    setups.push_back(seconds + seconds_since(op_start));
+    total += setups.back();
+    const std::string error = workload.check();
+    if (!error.empty()) throw std::runtime_error("set-up op failed: " + error);
   }
   return median(std::move(setups));
 }
@@ -212,13 +245,13 @@ Outcome run_untraced(Workload& workload, const RunOptions& options) {
     }
     ++out.attempted;
   }
-  const BlockStats best = best_block(op_ms, cpu_ms);
+  const TimingStats timing = timing_stats(op_ms, cpu_ms);
   out.metrics = {
       {"setup_s", setup_s, "s"},
-      {"ops_per_s", best.ops_per_s, "1/s"},
-      {"op_ms_p50", best.p50_ms, "ms"},
-      {"op_ms_p90", best.p90_ms, "ms"},
-      {"cpu_ms_per_op", best.cpu_ms_per_op, "ms"},
+      {"ops_per_s", timing.ops_per_s, "1/s"},
+      {"op_ms_p50", timing.p50_ms, "ms"},
+      {"op_ms_p90", timing.p90_ms, "ms"},
+      {"cpu_ms_per_op", timing.cpu_ms_per_op, "ms"},
       {"peak_rss_mb", peak_rss_mb(), "MB"},
   };
   return out;
@@ -238,15 +271,58 @@ const std::vector<std::pair<std::string, std::string>> kFunctionShares = {
 const std::vector<std::string> kModules = {"knapsack", "sched", "sim",
                                            "fault",    "net",   "service"};
 
-/// Ops whose spans go to --trace-out; the rest are only summed, which keeps
-/// the file a few MB on every workload.
+/// Ops whose spans go to --trace-out, one Chrome track per op; the rest are
+/// only summed, which keeps the file a few MB on every workload.
 constexpr int kTraceFileOps = 8;
+
+/// Self time summed over the traced ops: per span name and per module (the
+/// span's category), in microseconds.
+struct Attribution {
+  std::map<std::string, double> by_name;
+  std::map<std::string, double> by_module;
+  std::map<std::string, double> root_total;
+
+  [[nodiscard]] static double get(const std::map<std::string, double>& map,
+                                  const std::string& key) {
+    const auto it = map.find(key);
+    return it == map.end() ? 0.0 : it->second;
+  }
+
+  /// Adds one op's events. They are serial and strictly nested, so in start
+  /// order an event's parent is the nearest open event one level up, and its
+  /// self time is its duration minus its direct children's.
+  void add(std::vector<obs::TraceEvent> events) {
+    std::stable_sort(events.begin(), events.end(),
+                     [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
+                       return a.ts_us != b.ts_us ? a.ts_us < b.ts_us
+                                                 : a.depth < b.depth;
+                     });
+    std::vector<double> self(events.size());
+    std::vector<std::size_t> open;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      while (!open.empty() && events[open.back()].depth >= events[i].depth)
+        open.pop_back();
+      self[i] = events[i].dur_us;
+      if (open.empty())
+        root_total[events[i].name] += events[i].dur_us;
+      else
+        self[open.back()] -= events[i].dur_us;
+      open.push_back(i);
+    }
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      by_name[events[i].name] += self[i];
+      by_module[events[i].category] += self[i];
+    }
+  }
+};
 
 Outcome run_traced(Workload& workload, const RunOptions& options) {
   Outcome out;
   (void)timed_setup(workload, options);
   obs::set_enabled(false);
-  SpanLog log;
+  obs::TraceBuffer trace;       // the current op's spans
+  obs::TraceBuffer trace_file;  // the first kTraceFileOps ops' spans
+  Attribution attribution;
   Counts counts;
   std::vector<double> untraced_ms;
   std::vector<double> traced_ms;
@@ -271,7 +347,7 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
     const sim::EvalCacheStats before = sim::eval_cache().stats();
     const auto start = Clock::now();
     std::string error = guarded([&] {
-      SpanLog::Scope span(log, "op.entry");
+      obs::Span span(&trace, "op.entry", "op");
       workload.run_entry();
       return std::string();
     });
@@ -281,9 +357,14 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
     counts["sim.eval_cache.hits"] += static_cast<double>(after.hits - before.hits);
     counts["sim.eval_cache.misses"] +=
         static_cast<double>(after.misses - before.misses);
-    for (const char* name : {"sched.knapsack.dp_cells",
-                             "sched.repartition.heap_pops", "sim.events"})
-      counts[name] += static_cast<double>(obs::metrics().counter(name).value());
+    for (const auto& [metric, counter] :
+         {std::pair{"knapsack.dp_cells", "sched.knapsack.dp_cells"},
+          std::pair{"sched.repartition.heap_pops",
+                    "sched.repartition.heap_pops"},
+          std::pair{"sim.des.events", "sim.events"},
+          std::pair{"net.transfers.count", "net.transfers"}})
+      counts[metric] +=
+          static_cast<double>(obs::metrics().counter(counter).value());
     step1_3_us += obs::metrics().histogram("middleware.step1_3_us").snapshot().sum;
     step5_6_us += obs::metrics().histogram("middleware.step5_6_us").snapshot().sum;
     return error.empty() ? guarded([&] {
@@ -296,7 +377,6 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
   const auto phase_start = Clock::now();
   while (keep_going(phase_start, out.attempted, options)) {
     const std::size_t op = out.attempted++;
-    log.set_op(static_cast<int>(op));
     workload.next_input();
     // Alternate which entry run goes first, so neither always follows the
     // previous op's replay.
@@ -305,22 +385,33 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
     if (error.empty()) error = second;
     if (error.empty()) {
       workload.reset_state();
-      error = guarded([&] { return workload.replay(log, counts); });
+      error = guarded([&] { return workload.replay(trace, counts); });
     }
     if (!error.empty()) {
       note_failure(op, error);
       ++out.failed;
     }
+    std::vector<obs::TraceEvent> events = trace.events();
+    trace.clear();
+    if (op < kTraceFileOps) {
+      const auto track = static_cast<int>(op);
+      trace_file.set_track_name(obs::kWallPid, track,
+                                "op " + std::to_string(op));
+      for (obs::TraceEvent event : events) {
+        event.track = track;
+        trace_file.emit_complete(std::move(event));
+      }
+    }
+    attribution.add(std::move(events));
   }
   workload.reset_state();
 
-  const auto self = log.self_us_by_name();
   const auto self_us = [&](const std::string& name) {
-    const auto it = self.find(name);
-    return it == self.end() ? 0.0 : it->second;
+    return Attribution::get(attribution.by_name, name);
   };
-  const double replay_us = log.root_total_us("op.replay");
-  const double entry_us = log.root_total_us("op.entry");
+  const double replay_us =
+      Attribution::get(attribution.root_total, "op.replay");
+  const double entry_us = Attribution::get(attribution.root_total, "op.entry");
   const auto ops = static_cast<double>(out.attempted);
   const auto per_op = [&](const std::string& name) {
     return counts[name] / ops;
@@ -329,12 +420,10 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
     return 100.0 * ratio(us, replay_us);
   };
 
-  for (const std::string& module : kModules) {
-    double us = 0.0;
-    for (const auto& [name, value] : self)
-      if (module_of(name) == module) us += value;
-    out.metrics.push_back({module + ".self_pct", pct_of_replay(us), "%"});
-  }
+  for (const std::string& module : kModules)
+    out.metrics.push_back(
+        {module + ".self_pct",
+         pct_of_replay(Attribution::get(attribution.by_module, module)), "%"});
   for (const auto& [metric, span] : kFunctionShares)
     out.metrics.push_back({metric, pct_of_replay(self_us(span)), "%"});
   double des_us = 0.0;
@@ -352,13 +441,13 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
        100.0 * ratio(median(traced_ms) - untraced_p50, untraced_p50), "%"},
       {"middleware.step1_3.pct", 100.0 * ratio(step1_3_us, entry_us), "%"},
       {"middleware.step5_6.pct", 100.0 * ratio(step5_6_us, entry_us), "%"},
-      {"knapsack.dp_cells", per_op("sched.knapsack.dp_cells"), "count"},
+      {"knapsack.dp_cells", per_op("knapsack.dp_cells"), "count"},
       {"sched.repartition.heap_pops", per_op("sched.repartition.heap_pops"),
        "count"},
       {"sim.eval_cache.hit_ratio", ratio(hits, hits + misses), "1"},
       {"sim.eval_cache.misses", per_op("sim.eval_cache.misses"), "count"},
-      {"sim.des.events", per_op("sim.events"), "count"},
-      {"sim.des.events_per_ms", ratio(counts["sim.events"], des_us * 1e-3),
+      {"sim.des.events", per_op("sim.des.events"), "count"},
+      {"sim.des.events_per_ms", ratio(counts["sim.des.events"], des_us * 1e-3),
        "1/ms"},
       {"fault.kills", per_op("fault.kills"), "count"},
       {"fault.rewound_months", per_op("fault.rewound_months"), "count"},
@@ -370,7 +459,6 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
       {"net.transfers.mb", per_op("net.transfers.mb"), "MB"},
       {"service.estimate.calls", per_op("service.estimate.calls"), "count"},
       {"service.journal.records", per_op("service.journal.records"), "count"},
-      {"service.journal.bytes", per_op("service.journal.bytes"), "B"},
       {"service.journal.flushes", per_op("service.journal.flushes"), "count"},
       {"service.journal.records_per_flush",
        ratio(counts["service.journal.records"],
@@ -382,8 +470,11 @@ Outcome run_traced(Workload& workload, const RunOptions& options) {
        static_cast<double>(shared_pool().worker_count() + 1), "count"},
   };
   out.metrics.insert(out.metrics.end(), rest.begin(), rest.end());
-  if (!options.trace_out.empty())
-    log.write_chrome_trace(options.trace_out, kTraceFileOps);
+  if (!options.trace_out.empty()) {
+    std::ofstream file(options.trace_out);
+    if (!file) throw std::runtime_error("cannot write " + options.trace_out);
+    obs::write_chrome_trace(file, trace_file);
+  }
   return out;
 }
 
@@ -434,7 +525,8 @@ int main(int argc, char** argv) {
     options.trace_out = args.get("trace-out");
     if (args.flag("smoke")) {
       options.max_ops = 2;
-      options.setup_reps = 1;
+      options.min_setup_reps = 1;
+      options.min_setup_seconds = 0.0;
       options.warmup_seconds = 0.0;
     }
     const auto workload =

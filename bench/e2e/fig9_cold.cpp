@@ -21,10 +21,7 @@ constexpr sched::Heuristic kHeuristic = sched::Heuristic::kKnapsack;
 
 class Fig9Cold final : public Workload {
  public:
-  void setup(std::uint64_t seed) override {
-    rng_ = input_rng(seed, 1);
-    warm_up_op();
-  }
+  void setup(std::uint64_t seed) override { rng_ = input_rng(seed, 1); }
 
   void next_input() override { grid_ = random_grid(rng_); }
 
@@ -47,8 +44,8 @@ class Fig9Cold final : public Workload {
     return "";
   }
 
-  std::string replay(SpanLog& log, Counts& /*counts*/) override {
-    SpanLog::Scope op(log, "op.replay");
+  std::string replay(obs::TraceBuffer& trace, Counts& /*counts*/) override {
+    obs::Span op(&trace, "op.replay", "op");
     const std::size_t n = static_cast<std::size_t>(grid_.cluster_count());
     // Steps 1-3, one cluster after the other (the SeDs run them at once).
     std::vector<sched::PerformanceVector> performance(n);
@@ -57,10 +54,10 @@ class Fig9Cold final : public Workload {
           grid_.cluster(static_cast<ClusterId>(c));
       std::vector<sched::GroupSchedule> schedules;
       {
-        SpanLog::Scope span(log, "knapsack.family");
+        obs::Span span(&trace, "knapsack.family", "knapsack");
         schedules = sched::knapsack_grouping_family(cluster, ensemble_);
       }
-      SpanLog::Scope span(log, "sim.perf_vector");
+      obs::Span span(&trace, "sim.perf_vector", "sim");
       for (Count k = 1; k <= ensemble_.scenarios; ++k)
         performance[c].push_back(sim::cached_makespan(
             cluster, schedules[static_cast<std::size_t>(k) - 1],
@@ -69,7 +66,7 @@ class Fig9Cold final : public Workload {
     // Step 4.
     sched::Repartition repartition;
     {
-      SpanLog::Scope span(log, "sched.repartition");
+      obs::Span span(&trace, "sched.repartition", "sched");
       repartition =
           sched::greedy_repartition(performance, ensemble_.scenarios);
     }
@@ -83,10 +80,10 @@ class Fig9Cold final : public Workload {
       const appmodel::Ensemble sub{share, ensemble_.months};
       sched::GroupSchedule schedule;
       {
-        SpanLog::Scope span(log, "knapsack.schedule");
+        obs::Span span(&trace, "knapsack.schedule", "knapsack");
         schedule = sched::make_schedule(kHeuristic, cluster, sub);
       }
-      SpanLog::Scope span(log, "sim.des");
+      obs::Span span(&trace, "sim.des", "sim");
       makespan = std::max(
           makespan, sim::simulate_ensemble(cluster, schedule, sub).makespan);
     }

@@ -8,11 +8,12 @@
 
 #include <algorithm>
 #include <array>
+#include <tuple>
 #include <vector>
 
 #include "fault/checkpoint.hpp"
 #include "net/fairshare.hpp"
-#include "sim/ensemble_sim.hpp"
+#include "obs/obs.hpp"
 #include "sim/eval_cache.hpp"
 #include "sim/grid_sim.hpp"
 #include "sim/perf_vector.hpp"
@@ -31,12 +32,11 @@ constexpr std::array<fault::RecoveryPolicy, 3> kPolicies = {
     fault::RecoveryPolicy::kRescheduleInCluster,
     fault::RecoveryPolicy::kMigrateWithState};
 
-/// simulate_grid's Algorithm-1 network charge for k scenarios' files on one
-/// home link: fair-shared, they drain together at latency + k * size / bw.
-Seconds batch_transfer_time(const net::NetworkModel& network, ClusterId src,
-                            ClusterId dst, Count k, double size_mb) {
-  if (k <= 0 || size_mb <= 0.0) return 0.0;
-  return network.transfer_time(src, dst, static_cast<double>(k) * size_mb);
+template <typename Call>
+double elapsed_us(Call&& call) {
+  const double start = obs::WallClock::instance().now_us();
+  call();
+  return obs::WallClock::instance().now_us() - start;
 }
 
 class GridFaults final : public Workload {
@@ -87,133 +87,99 @@ class GridFaults final : public Workload {
     return "";
   }
 
-  std::string replay(SpanLog& log, Counts& counts) override {
-    SpanLog::Scope op(log, "op.replay");
-    const platform::Grid& grid = *grid_;
-    const std::size_t n = static_cast<std::size_t>(grid.cluster_count());
-    const MonthIndex months = static_cast<MonthIndex>(ensemble_.months);
-
-    std::vector<sched::PerformanceVector> performance(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      const platform::Cluster& cluster = grid.cluster(static_cast<ClusterId>(c));
-      std::vector<sched::GroupSchedule> schedules;
-      {
-        SpanLog::Scope span(log, "knapsack.family");
-        schedules = sched::knapsack_grouping_family(cluster, ensemble_);
-      }
-      SpanLog::Scope span(log, "sim.perf_vector");
-      for (Count k = 1; k <= ensemble_.scenarios; ++k)
-        performance[c].push_back(sim::cached_makespan(
-            cluster, schedules[static_cast<std::size_t>(k) - 1],
-            appmodel::Ensemble{k, ensemble_.months}));
-    }
-
-    sched::PlacementCharge failure_charge;
+  /// simulate_grid's phases are private, so the replay is the entry call
+  /// itself, split by the timers the library keeps: the obs histograms
+  /// sim.perf_vector_us, sched.knapsack_us (make_schedule) and
+  /// sim.run_wall_us (every DES run; the vectors are cache hits, so these
+  /// are the failure-injected runs). The three public calls simulate_grid
+  /// makes between those timers are then timed again on the op's own
+  /// vectors and placement, and carved out of its self time. These probes
+  /// approximate the calls inside (the repartition probe prices failures
+  /// only), so their outputs are not checked.
+  std::string replay(obs::TraceBuffer& trace, Counts& /*counts*/) override {
+    obs::reset();
+    obs::set_enabled(true);
+    sim::GridSimResult result;
     {
-      SpanLog::Scope span(log, "fault.charge");
-      failure_charge = fault::make_failure_charge(
-          fault_.model, performance, ensemble_.months, fault_.checkpoint_months);
+      obs::Span op(&trace, "op.replay", "op");
+      obs::Span span(&trace, "sim.grid", "sim");
+      result =
+          sim::simulate_grid(*grid_, ensemble_, kHeuristic, 1, net_, fault_);
     }
-    const auto charge = [&](std::size_t c, Count k) -> Seconds {
-      const auto dst = static_cast<ClusterId>(c);
-      const Seconds net_charge =
-          batch_transfer_time(net_.network, net_.home, dst, k,
-                              net_.stage_mb_per_scenario) +
-          batch_transfer_time(net_.network, dst, net_.home, k,
-                              net_.collect_mb_per_scenario);
-      return net_charge + failure_charge(c, k);
+    obs::set_enabled(false);
+    const auto histogram_us = [](const char* name) {
+      return obs::metrics().histogram(name).snapshot().sum;
     };
-    sched::Repartition rep;
-    {
-      SpanLog::Scope span(log, "sched.repartition");
-      rep = sched::greedy_repartition_charged(performance, ensemble_.scenarios,
-                                              charge);
-    }
+    const double perf_vector_us = histogram_us("sim.perf_vector_us");
+    const double schedule_us = histogram_us("sched.knapsack_us");
+    const double des_us = histogram_us("sim.run_wall_us");
 
-    std::vector<Seconds> compute(n, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-      const Count k = rep.dags_per_cluster[c];
-      if (k <= 0) continue;
-      compute[c] = performance[c][static_cast<std::size_t>(k) - 1];
-      const auto cid = static_cast<ClusterId>(c);
-      if (!fault_.model.cluster_active(cid)) continue;
-      const platform::Cluster& cluster = grid.cluster(cid);
-      const appmodel::Ensemble sub{k, ensemble_.months};
-      sched::GroupSchedule schedule;
-      {
-        SpanLog::Scope span(log, "knapsack.schedule");
-        schedule = sched::make_schedule(kHeuristic, cluster, sub);
-      }
-      SpanLog::Scope span(log, "fault.des");
-      sim::SimOptions opts;
-      opts.fault.model = &fault_.model;
-      opts.fault.cluster = cid;
-      opts.fault.recovery = fault_.recovery;
-      opts.fault.checkpoint_months = fault_.checkpoint_months;
-      opts.fault.migrate_staging = net_.network.transfer_time(
-          net_.home, cid, net_.stage_mb_per_scenario);
-      const sim::SimResult r =
-          sim::simulate_ensemble(cluster, schedule, sub, opts);
-      compute[c] = r.makespan;
-      counts["fault.useful_months"] += static_cast<double>(k * months);
-      counts["fault.attempted_months"] +=
-          static_cast<double>(r.mains_executed + r.fault.kills);
-    }
-
-    std::vector<Seconds> staging(n, 0.0);
-    std::vector<Seconds> collection(n, 0.0);
-    {
-      SpanLog::Scope span(log, "net.transfers");
-      std::vector<net::TransferRequest> in;
-      std::vector<net::TransferRequest> out;
-      for (std::size_t c = 0; c < n; ++c) {
-        const Count k = rep.dags_per_cluster[c];
-        const auto dst = static_cast<ClusterId>(c);
-        const Seconds staged = batch_transfer_time(
-            net_.network, net_.home, dst, k, net_.stage_mb_per_scenario);
-        for (Count s = 0; s < k; ++s) {
-          in.push_back({net_.home, dst, net_.stage_mb_per_scenario, 0.0});
-          out.push_back({dst, net_.home, net_.collect_mb_per_scenario,
-                         staged + compute[c]});
-        }
-      }
-      const net::TransferPlan in_plan =
-          net::simulate_transfers(net_.network, in);
-      const net::TransferPlan out_plan =
-          net::simulate_transfers(net_.network, out);
-      counts["net.transfers.count"] += static_cast<double>(in.size() + out.size());
-      // Same interleaving as simulate_grid: each collection tail is taken
-      // against the staging delay seen so far.
-      std::size_t i = 0;
-      for (std::size_t c = 0; c < n; ++c) {
-        for (Count s = 0; s < rep.dags_per_cluster[c]; ++s, ++i) {
-          staging[c] = std::max(staging[c], in_plan.results[i].finish);
-          collection[c] =
-              std::max(collection[c], out_plan.results[i].finish -
-                                          (staging[c] + compute[c]));
-        }
-        collection[c] = std::max(collection[c], 0.0);
+    sched::PlacementCharge charge;
+    const double charge_us = elapsed_us([&] {
+      charge = fault::make_failure_charge(fault_.model, result.performance,
+                                          ensemble_.months,
+                                          fault_.checkpoint_months);
+    });
+    const double repartition_us = elapsed_us([&] {
+      (void)sched::greedy_repartition_charged(result.performance,
+                                              ensemble_.scenarios, charge);
+    });
+    std::vector<net::TransferRequest> staging;
+    std::vector<net::TransferRequest> collection;
+    for (std::size_t c = 0; c < result.cluster_makespans.size(); ++c) {
+      const auto dst = static_cast<ClusterId>(c);
+      const Seconds ship_at =
+          result.cluster_makespans[c] - result.collection_seconds[c];
+      for (Count s = 0; s < result.repartition.dags_per_cluster[c]; ++s) {
+        staging.push_back({net_.home, dst, net_.stage_mb_per_scenario, 0.0});
+        collection.push_back(
+            {dst, net_.home, net_.collect_mb_per_scenario, ship_at});
       }
     }
+    const double transfers_us = elapsed_us([&] {
+      (void)net::simulate_transfers(net_.network, staging);
+      (void)net::simulate_transfers(net_.network, collection);
+    });
 
-    Seconds makespan = 0.0;
-    for (std::size_t c = 0; c < n; ++c) {
-      if (rep.dags_per_cluster[c] <= 0) continue;
-      const Seconds cluster_makespan = staging[c] + compute[c] + collection[c];
-      if (cluster_makespan != result_.cluster_makespans[c])
-        return "replay cluster makespan differs";
-      makespan = std::max(makespan, cluster_makespan);
+    // The measured parts become child events of sim.grid, end to end.
+    const std::vector<obs::TraceEvent> events = trace.events();
+    const auto grid = std::find_if(
+        events.rbegin(), events.rend(),
+        [](const obs::TraceEvent& e) { return e.name == "sim.grid"; });
+    double ts_us = grid->ts_us;
+    for (const auto& [name, category, us] :
+         {std::tuple{"sim.perf_vector", "sim", perf_vector_us},
+          std::tuple{"knapsack.schedule", "knapsack", schedule_us},
+          std::tuple{"fault.des", "fault", des_us},
+          std::tuple{"fault.charge", "fault", charge_us},
+          std::tuple{"sched.repartition", "sched", repartition_us},
+          std::tuple{"net.transfers", "net", transfers_us}}) {
+      trace.emit_complete({name, category, obs::kWallPid, grid->track, ts_us,
+                           us, grid->depth + 1});
+      ts_us += us;
     }
-    if (makespan != result_.makespan) return "replay makespan differs";
-    if (rep.dags_per_cluster != result_.repartition.dags_per_cluster)
+
+    if (result.makespan != result_.makespan) return "replay makespan differs";
+    if (result.cluster_makespans != result_.cluster_makespans)
+      return "replay cluster makespans differ";
+    if (result.repartition.dags_per_cluster !=
+        result_.repartition.dags_per_cluster)
       return "replay dags_per_cluster differs";
     return "";
   }
 
+  /// Every scenario runs all its months once usefully; a killed in-flight
+  /// month and a rewound month each cost one more month of work.
   void entry_counts(Counts& counts) override {
+    const auto useful =
+        static_cast<double>(ensemble_.scenarios * ensemble_.months);
     counts["fault.kills"] += static_cast<double>(result_.fault.kills);
     counts["fault.rewound_months"] +=
         static_cast<double>(result_.fault.rewound_months);
+    counts["fault.useful_months"] += useful;
+    counts["fault.attempted_months"] +=
+        useful + static_cast<double>(result_.fault.kills +
+                                     result_.fault.rewound_months);
     counts["net.transfers.mb"] += result_.transfer_mb;
   }
 

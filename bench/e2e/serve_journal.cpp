@@ -35,12 +35,12 @@ struct Submission {
 /// through ServiceOptions::estimator.
 class TimedEstimator final : public service::PerfEstimator {
  public:
-  explicit TimedEstimator(SpanLog& log) : log_(log) {}
+  explicit TimedEstimator(obs::TraceBuffer& trace) : trace_(trace) {}
 
   sched::PerformanceVector vector(const platform::Cluster& cluster,
                                   Count scenarios, Count months,
                                   sched::Heuristic heuristic) override {
-    SpanLog::Scope span(log_, "service.estimate");
+    obs::Span span(&trace_, "service.estimate", "service");
     ++calls_;
     return inner_.vector(cluster, scenarios, months, heuristic);
   }
@@ -48,7 +48,7 @@ class TimedEstimator final : public service::PerfEstimator {
   [[nodiscard]] std::size_t calls() const noexcept { return calls_; }
 
  private:
-  SpanLog& log_;
+  obs::TraceBuffer& trace_;
   service::AnalyticEstimator inner_;
   std::size_t calls_ = 0;
 };
@@ -74,10 +74,7 @@ class ServeJournal final : public Workload {
   ServeJournal(const ServeJournal&) = delete;
   ServeJournal& operator=(const ServeJournal&) = delete;
 
-  void setup(std::uint64_t seed) override {
-    rng_ = input_rng(seed, 3);
-    warm_up_op();
-  }
+  void setup(std::uint64_t seed) override { rng_ = input_rng(seed, 3); }
 
   void next_input() override {
     load_.clear();
@@ -105,6 +102,9 @@ class ServeJournal final : public Workload {
     live_ = std::make_unique<service::CampaignService>(grid_, options_);
     for (const Submission& s : load_) (void)live_->submit(s.spec, s.at);
     if (!live_->run()) throw std::runtime_error("service reported a kill");
+    // Read before recovery, so flushes and records cover the same instance.
+    if (obs::enabled())
+      live_flushes_ = obs::metrics().counter("journal.flushes").value();
     recovered_ = std::make_unique<service::CampaignService>(grid_, options_);
     (void)recovered_->recover();
     if (!recovered_->run())
@@ -126,24 +126,24 @@ class ServeJournal final : public Workload {
     return "";
   }
 
-  std::string replay(SpanLog& log, Counts& counts) override {
-    SpanLog::Scope op(log, "op.replay");
-    TimedEstimator estimator(log);
+  std::string replay(obs::TraceBuffer& trace, Counts& counts) override {
+    obs::Span op(&trace, "op.replay", "op");
+    TimedEstimator estimator(trace);
     service::ServiceOptions options = options_;
     options.estimator = &estimator;
     std::unique_ptr<service::CampaignService> live;
     {
-      SpanLog::Scope span(log, "service.submit");
+      obs::Span span(&trace, "service.submit", "service");
       live = std::make_unique<service::CampaignService>(grid_, options);
       for (const Submission& s : load_) (void)live->submit(s.spec, s.at);
     }
     {
-      SpanLog::Scope span(log, "service.run");
+      obs::Span span(&trace, "service.run", "service");
       if (!live->run()) return "replayed service reported a kill";
     }
     std::unique_ptr<service::CampaignService> recovered;
     {
-      SpanLog::Scope span(log, "service.recover");
+      obs::Span span(&trace, "service.recover", "service");
       recovered = std::make_unique<service::CampaignService>(grid_, options);
       (void)recovered->recover();
       if (!recovered->run()) return "replayed recovery reported a kill";
@@ -159,10 +159,7 @@ class ServeJournal final : public Workload {
   void entry_counts(Counts& counts) override {
     counts["service.journal.records"] +=
         static_cast<double>(live_->journal_seq());
-    counts["service.journal.bytes"] += static_cast<double>(
-        std::filesystem::file_size(service::CampaignService::journal_path(dir_)));
-    counts["service.journal.flushes"] += static_cast<double>(
-        obs::metrics().counter("journal.flushes").value());
+    counts["service.journal.flushes"] += static_cast<double>(live_flushes_);
     counts["service.lease_changes"] +=
         static_cast<double>(live_->lease_changes());
     counts["service.plan_reuse"] += static_cast<double>(live_->plan_reuse());
@@ -177,6 +174,7 @@ class ServeJournal final : public Workload {
   std::unique_ptr<service::CampaignService> live_;
   std::unique_ptr<service::CampaignService> recovered_;
   std::uint64_t live_signature_ = 0;
+  std::uint64_t live_flushes_ = 0;
 };
 
 }  // namespace

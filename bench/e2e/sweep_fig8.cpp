@@ -35,7 +35,6 @@ class SweepFig8 final : public Workload {
     rng_ = input_rng(seed, 4);
     profile_ = static_cast<int>(rng_.uniform_int(0, kProfiles - 1));
     ops_ = 0;
-    warm_up_op();
   }
 
   /// The profiles take turns; a seeded shift of 0..3 processors moves every
@@ -84,19 +83,20 @@ class SweepFig8 final : public Workload {
     return "";
   }
 
-  std::string replay(SpanLog& log, Counts& /*counts*/) override {
-    SpanLog::Scope op(log, "op.replay");
+  std::string replay(obs::TraceBuffer& trace, Counts& /*counts*/) override {
+    obs::Span op(&trace, "op.replay", "op");
     for (std::size_t i = 0; i < resources_.size(); ++i) {
       const platform::Cluster cluster = cluster_at(i);
       for (std::size_t h = 0; h < kHeuristics.size(); ++h) {
         sched::GroupSchedule schedule;
         {
-          SpanLog::Scope span(log, kHeuristics[h] == sched::Heuristic::kKnapsack
-                                       ? "knapsack.schedule"
-                                       : "sched.make_schedule");
+          const bool knapsack = kHeuristics[h] == sched::Heuristic::kKnapsack;
+          obs::Span span(&trace,
+                         knapsack ? "knapsack.schedule" : "sched.make_schedule",
+                         knapsack ? "knapsack" : "sched");
           schedule = sched::make_schedule(kHeuristics[h], cluster, ensemble_);
         }
-        SpanLog::Scope span(log, "sim.des");
+        obs::Span span(&trace, "sim.des", "sim");
         if (sim::cached_makespan(cluster, schedule, ensemble_) != cells_[i][h])
           return "replay makespan differs at R=" +
                  std::to_string(resources_[i]);

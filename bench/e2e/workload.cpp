@@ -7,14 +7,6 @@
 
 namespace oagrid::e2e {
 
-void Workload::warm_up_op() {
-  next_input();
-  reset_state();
-  run_entry();
-  const std::string error = check();
-  if (!error.empty()) throw std::runtime_error("warm-up op failed: " + error);
-}
-
 Rng input_rng(std::uint64_t seed, std::uint64_t stream) {
   return Rng(seed * 0x9E3779B97F4A7C15ull + stream);
 }

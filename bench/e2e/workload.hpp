@@ -10,8 +10,8 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "obs/trace.hpp"
 #include "platform/grid.hpp"
-#include "spans.hpp"
 
 namespace oagrid::e2e {
 
@@ -24,16 +24,16 @@ class Workload {
   virtual ~Workload() = default;
 
   /// Builds the input stream from `seed` and warms what a user would have
-  /// warm. The driver calls it several times per run; each call starts over
-  /// from the same state, so the last one leaves the inputs ready.
+  /// warm. The driver times it several times per run; each call starts over
+  /// from the same state.
   virtual void setup(std::uint64_t seed) = 0;
 
   /// Draws the next op's inputs. Untimed.
   virtual void next_input() = 0;
 
-  /// Puts process-global state (the eval cache) where every execution of
-  /// the current op must start: cleared for the cold workloads, untouched
-  /// for the warm one. Untimed.
+  /// Puts the state every execution of the current op must start from in
+  /// place: the eval cache cleared for the cold workloads, a fresh journal
+  /// directory for the service. Untimed.
   virtual void reset_state() = 0;
 
   /// The timed op, through the real entry point.
@@ -43,17 +43,15 @@ class Workload {
   [[nodiscard]] virtual std::string check() = 0;
 
   /// Serial replay of the current op through the layers' public functions
-  /// in the entry point's order, one span per call. Returns "" when its
-  /// outputs equal the last entry output bit for bit.
-  [[nodiscard]] virtual std::string replay(SpanLog& log, Counts& counts) = 0;
+  /// in the entry point's order. Every call gets an obs::Span in `trace`
+  /// named "<module>.<function>" with the module as its category, under one
+  /// root span "op.replay". Returns "" when the replay's outputs equal the
+  /// last entry output bit for bit.
+  [[nodiscard]] virtual std::string replay(obs::TraceBuffer& trace,
+                                           Counts& counts) = 0;
 
   /// Workload-specific counts read off the last (traced) entry output.
   virtual void entry_counts(Counts& counts) = 0;
-
- protected:
-  /// One untimed, checked op, for set-ups that warm caches and the pool.
-  /// Throws when the op fails its check.
-  void warm_up_op();
 };
 
 /// `workdir` is scratch space for the files a workload writes (journals).
