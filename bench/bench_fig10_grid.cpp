@@ -12,8 +12,8 @@
 
 #include "bench_util.hpp"
 #include "common/ascii_chart.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "platform/profiles.hpp"
 #include "sim/grid_sim.hpp"
 
@@ -38,7 +38,7 @@ int main() {
     for (ProcCount r = 11; r <= 99; r += 8)
       cells.push_back(Cell{n, r, n + r / 100.0, {0, 0, 0}});
 
-  parallel_for(0, cells.size(), [&](std::size_t i) {
+  shared_pool().parallel_for(0, cells.size(), [&](std::size_t i) {
     Cell& cell = cells[i];
     const auto grid =
         platform::make_builtin_grid(cell.resources).prefix(cell.clusters);

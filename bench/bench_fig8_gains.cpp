@@ -12,9 +12,9 @@
 
 #include "bench_util.hpp"
 #include "common/ascii_chart.hpp"
-#include "common/parallel.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "platform/profiles.hpp"
 #include "sim/ensemble_sim.hpp"
 
@@ -36,7 +36,7 @@ int main() {
   std::vector<std::vector<RunningStats>> gains(
       3, std::vector<RunningStats>(rs.size()));
 
-  parallel_for(0, rs.size(), [&](std::size_t cell) {
+  shared_pool().parallel_for(0, rs.size(), [&](std::size_t cell) {
     const ProcCount r = rs[cell];
     for (int profile = 0; profile < 5; ++profile) {
       const auto cluster = platform::make_builtin_cluster(profile, r);

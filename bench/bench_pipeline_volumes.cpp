@@ -11,8 +11,8 @@
 #include "climate/compress.hpp"
 #include "climate/restart.hpp"
 #include "climate/scenario_runner.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 
 int main() {
   using namespace oagrid;

@@ -1,7 +1,7 @@
 /// \file bench_sim_engine.cpp
-/// \brief Throughput microbenchmarks of the discrete-event core and the
-/// ensemble simulator (events/second, full-campaign latency), sizing the
-/// sweeps the figure benches can afford.
+/// \brief Throughput microbenchmarks of the ensemble simulator
+/// (events/second, full-campaign latency), sizing the sweeps the figure
+/// benches can afford.
 ///
 /// The custom main() additionally gates the observability overhead: the
 /// same campaign is simulated with obs off and obs on (metrics recording),
@@ -18,45 +18,12 @@
 #include "bench_util.hpp"
 #include "obs/obs.hpp"
 #include "platform/profiles.hpp"
-#include "sim/engine.hpp"
 #include "sim/ensemble_sim.hpp"
 #include "sim/grid_sim.hpp"
 
 namespace {
 
 using namespace oagrid;
-
-void BM_EngineEventThroughput(benchmark::State& state) {
-  const auto events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine engine;
-    std::size_t fired = 0;
-    // Self-rescheduling chain exercises push/pop on a warm queue.
-    std::function<void()> tick = [&] {
-      if (++fired < events) engine.schedule_after(1.0, tick);
-    };
-    engine.schedule_at(0.0, tick);
-    benchmark::DoNotOptimize(engine.run());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_EngineEventThroughput)->Arg(1000)->Arg(100000);
-
-void BM_EngineFanOut(benchmark::State& state) {
-  const auto events = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::Engine engine;
-    for (std::size_t i = 0; i < events; ++i)
-      engine.schedule_at(static_cast<double>(i % 97), [] {});
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine.run());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_EngineFanOut)->Arg(100000);
 
 void BM_EnsembleSimulation(benchmark::State& state) {
   const auto cluster = platform::make_builtin_cluster(1, 53);

@@ -12,8 +12,8 @@
 
 #include "climate/calibration.hpp"
 #include "climate/scenario_runner.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/ensemble_sim.hpp"
 
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
         0.9 * static_cast<double>(i) /
         static_cast<double>(std::max<Count>(1, members - 1));
 
-  parallel_for(0, static_cast<std::size_t>(members), [&](std::size_t i) {
+  shared_pool().parallel_for(0, feedbacks.size(), [&](std::size_t i) {
     climate::ScenarioConfig config;
     config.model.cloud_feedback = feedbacks[i];
     config.months = months;

@@ -42,14 +42,15 @@ int main(int argc, char** argv) {
   std::cout << "\n\n";
 
   TableWriter table({"cluster", "scenarios", "makespan", "human"});
-  for (std::size_t i = 0; i < result.responsive.size(); ++i) {
-    const ClusterId c = result.responsive[i];
-    Seconds ms = 0;
-    for (const auto& exec : result.campaign.executions)
-      if (exec.cluster == c) ms = exec.makespan;
-    table.add_row({grid.cluster(c).name(),
-                   std::to_string(result.campaign.repartition.dags_per_cluster[i]),
-                   fmt(ms, 0), fmt_duration(ms)});
+  for (const ClusterId c : result.responsive) {
+    const Seconds ms =
+        result.campaign.cluster_makespans[static_cast<std::size_t>(c)];
+    table.add_row(
+        {grid.cluster(c).name(),
+         std::to_string(
+             result.campaign.repartition
+                 .dags_per_cluster[static_cast<std::size_t>(c)]),
+         fmt(ms, 0), fmt_duration(ms)});
   }
   table.print(std::cout);
   std::cout << "\nCampaign completed on the survivors: makespan "

@@ -1,8 +1,11 @@
 #include "common/thread_pool.hpp"
 
-#include "common/parallel.hpp"
-
 namespace oagrid {
+
+std::size_t default_parallelism() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 namespace detail {
 namespace {

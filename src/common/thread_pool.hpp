@@ -2,13 +2,14 @@
 /// \file thread_pool.hpp
 /// \brief Persistent worker pool for fine-grained parallel regions.
 ///
-/// common/parallel.hpp's parallel_for spawns threads per call, which is fine
-/// for coarse sweep cells (milliseconds each) but poisonous for the climate
-/// model's stencil substeps and the evaluation engine's neighborhood batches
-/// (tens of microseconds each — thread creation costs more than the work).
+/// Spawning threads per parallel region is fine for coarse sweep cells
+/// (milliseconds each) but poisonous for the climate model's stencil
+/// substeps and the evaluation engine's neighborhood batches (tens of
+/// microseconds each — thread creation costs more than the work).
 /// ThreadPool keeps its workers alive between regions: dispatch is one
 /// mutex/condition-variable handshake, and the calling thread participates in
-/// the work, so a pool of W workers yields W+1-way parallelism.
+/// the work, so a pool of W workers yields W+1-way parallelism. Every
+/// parallel loop in the library runs on shared_pool().
 ///
 /// Three properties the evaluation engine leans on:
 ///  * No per-call type erasure: parallel_for is a template dispatching the
@@ -37,8 +38,8 @@ namespace oagrid {
 
 namespace detail {
 /// True on any thread currently executing inside a parallel region (pool
-/// worker, pool caller, or a plain parallel_for worker). Maintained as a
-/// nesting depth so regions can stack.
+/// worker or pool caller). Maintained as a nesting depth so regions can
+/// stack.
 [[nodiscard]] bool in_parallel_region() noexcept;
 void enter_parallel_region() noexcept;
 void leave_parallel_region() noexcept;
@@ -50,6 +51,9 @@ struct RegionMark {
   RegionMark& operator=(const RegionMark&) = delete;
 };
 }  // namespace detail
+
+/// Hardware concurrency, at least 1.
+[[nodiscard]] std::size_t default_parallelism() noexcept;
 
 class ThreadPool {
  public:

@@ -1,12 +1,11 @@
 #include "middleware/client.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "common/log.hpp"
 #include "middleware/mailbox.hpp"
-#include "net/fairshare.hpp"
 #include "obs/obs.hpp"
 
 namespace oagrid::middleware {
@@ -31,327 +30,164 @@ obs::Histogram* step_histogram(const char* step) {
   return &obs::metrics().histogram(std::string("middleware.") + step + "_us");
 }
 
+/// Receives one `Reply` to `request_id` from each of `expected` daemons
+/// (steps 3 and 6). Without a timeout it blocks and throws on a closed
+/// channel or an unexpected reply; with one it skips stale replies and
+/// returns whatever arrived before the step deadline.
+template <typename Reply>
+std::vector<Reply> gather(Mailbox<SedResponse>& mailbox, int request_id,
+                          int expected,
+                          std::optional<std::chrono::milliseconds> timeout,
+                          int step) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  const auto deadline =
+      steady_clock::now() + timeout.value_or(milliseconds::zero());
+  std::vector<Reply> replies;
+  while (static_cast<int>(replies.size()) < expected) {
+    std::optional<SedResponse> response;
+    if (timeout) {
+      const auto budget = std::chrono::duration_cast<milliseconds>(
+          deadline - steady_clock::now());
+      if (budget.count() <= 0) break;
+      response = mailbox.receive_for(budget);
+      if (!response) break;
+    } else {
+      response = mailbox.receive();
+      if (!response)
+        throw std::runtime_error("oagrid: SeD channel closed during step " +
+                                 std::to_string(step));
+    }
+    auto* reply = std::get_if<Reply>(&*response);
+    if (reply == nullptr || reply->request_id != request_id) {
+      if (timeout) continue;  // a late answer to an earlier step
+      throw std::runtime_error("oagrid: unexpected response during step " +
+                               std::to_string(step));
+    }
+    replies.push_back(std::move(*reply));
+  }
+  return replies;
+}
+
 }  // namespace
 
 CampaignResult Client::submit(const appmodel::Ensemble& ensemble,
-                              sched::Heuristic heuristic) {
+                              sched::Heuristic heuristic,
+                              const StagingOptions& staging,
+                              const sim::GridFaultOptions& faults) {
+  return run(ensemble, heuristic, staging, faults, std::nullopt).campaign;
+}
+
+Client::FaultTolerantResult Client::submit_with_deadline(
+    const appmodel::Ensemble& ensemble, sched::Heuristic heuristic,
+    std::chrono::milliseconds step_timeout, const StagingOptions& staging,
+    const sim::GridFaultOptions& faults) {
+  OAGRID_REQUIRE(step_timeout.count() > 0, "timeout must be positive");
+  return run(ensemble, heuristic, staging, faults, step_timeout);
+}
+
+Client::FaultTolerantResult Client::run(
+    const appmodel::Ensemble& ensemble, sched::Heuristic heuristic,
+    const StagingOptions& staging, const sim::GridFaultOptions& faults,
+    std::optional<std::chrono::milliseconds> timeout) {
   ensemble.validate();
   OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
+  OAGRID_REQUIRE(staging.transfer_deadline > 0.0,
+                 "transfer deadline must be positive");
   const int request_id = next_request_id_++;
   if (obs::enabled()) obs::metrics().counter("middleware.campaigns").add();
   obs::Span campaign_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
                           "campaign #" + std::to_string(request_id),
                           "middleware");
-  CampaignResult result;
+
+  FaultTolerantResult result;
+  CampaignResult& campaign = result.campaign;
+  std::vector<ClusterId>& dropped = result.unresponsive;
+  Mailbox<SedResponse> reply;
+  instrument_reply(reply);
 
   // Steps (1)-(3): broadcast the request, gather one performance vector per
   // cluster, whatever the arrival order.
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
-  {
+  const auto estimate = [&] {
     obs::ScopedTimer step_timer(step_histogram("step1_3"));
     obs::Span step_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
                         "steps 1-3: perf vectors", "middleware");
     const int expected = agent_.broadcast_perf_request(
-        request_id, ensemble.scenarios, ensemble.months, heuristic, reply);
-    result.performance.resize(static_cast<std::size_t>(expected));
-    for (int received = 0; received < expected; ++received) {
-      std::optional<SedResponse> response = reply.receive();
-      if (!response)
-        throw std::runtime_error("oagrid: SeD channel closed during step 3");
-      const auto* perf = std::get_if<PerfResponse>(&*response);
-      if (perf == nullptr || perf->request_id != request_id)
-        throw std::runtime_error("oagrid: unexpected response during step 3");
-      result.performance[static_cast<std::size_t>(perf->cluster)] =
-          perf->performance;
-    }
-    OAGRID_INFO << "client: step 3 complete, " << expected
-                << " performance vector(s) received";
-  }
-
-  // Step (4): Algorithm 1 on the client.
-  {
-    obs::ScopedTimer step_timer(step_histogram("step4"));
-    result.repartition =
-        sched::greedy_repartition(result.performance, ensemble.scenarios);
-  }
+        {request_id, ensemble.scenarios, ensemble.months, heuristic, &reply});
+    std::vector<sched::PerformanceVector> performance(
+        static_cast<std::size_t>(expected));
+    for (PerfResponse& perf :
+         gather<PerfResponse>(reply, request_id, expected, timeout, 3))
+      performance[static_cast<std::size_t>(perf.cluster)] =
+          std::move(perf.performance);
+    for (ClusterId c = 0; c < expected; ++c)
+      if (performance[static_cast<std::size_t>(c)].empty())
+        dropped.push_back(c);
+    if (dropped.size() == performance.size())
+      throw std::runtime_error("oagrid: no cluster answered step 3 in time");
+    return performance;
+  };
 
   // Steps (5)-(6): dispatch each cluster's share (clusters with zero
   // scenarios are not contacted, as in the paper's flow), then collect the
   // execution reports.
-  obs::ScopedTimer step_timer(step_histogram("step5_6"));
-  obs::Span step_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
-                      "steps 5-6: execution", "middleware");
-  int outstanding = 0;
-  for (ClusterId c = 0; c < agent_.daemon_count(); ++c) {
-    const Count share =
-        result.repartition.dags_per_cluster[static_cast<std::size_t>(c)];
-    if (share == 0) continue;
-    agent_.send_execute(c, request_id, share, ensemble.months, heuristic,
-                        reply);
-    ++outstanding;
-  }
-
-  for (int received = 0; received < outstanding; ++received) {
-    std::optional<SedResponse> response = reply.receive();
-    if (!response)
-      throw std::runtime_error("oagrid: SeD channel closed during step 6");
-    const auto* exec = std::get_if<ExecuteResponse>(&*response);
-    if (exec == nullptr || exec->request_id != request_id)
-      throw std::runtime_error("oagrid: unexpected response during step 6");
-    result.executions.push_back(*exec);
-    result.makespan = std::max(result.makespan, exec->makespan);
-  }
-  std::sort(result.executions.begin(), result.executions.end(),
-            [](const ExecuteResponse& a, const ExecuteResponse& b) {
-              return a.cluster < b.cluster;
-            });
-  OAGRID_INFO << "client: campaign finished, makespan " << result.makespan
-              << " s";
-  return result;
-}
-
-Client::StagedCampaignResult Client::submit_staged(
-    const appmodel::Ensemble& ensemble, sched::Heuristic heuristic,
-    const StagingOptions& options) {
-  ensemble.validate();
-  OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
-  const auto n = static_cast<std::size_t>(agent_.daemon_count());
-  const sim::GridNetworkOptions& data = options.data;
-  if (data.active()) {
-    OAGRID_REQUIRE(data.network.cluster_count() == agent_.daemon_count(),
-                   "network model does not cover the deployed clusters");
-    OAGRID_REQUIRE(data.home >= 0 && data.home < agent_.daemon_count(),
-                   "home cluster outside the deployment");
-    OAGRID_REQUIRE(data.stage_mb_per_scenario >= 0.0 &&
-                       data.collect_mb_per_scenario >= 0.0,
-                   "transfer volumes must be >= 0");
-  }
-  OAGRID_REQUIRE(options.transfer_deadline > 0.0,
-                 "transfer deadline must be positive");
-  const int request_id = next_request_id_++;
-  if (obs::enabled()) obs::metrics().counter("middleware.campaigns").add();
-  obs::Span campaign_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
-                          "staged campaign #" + std::to_string(request_id),
-                          "middleware");
-
-  StagedCampaignResult result;
-  result.staging_seconds.assign(n, 0.0);
-  result.collection_seconds.assign(n, 0.0);
-  CampaignResult& campaign = result.campaign;
-
-  // Steps (1)-(3): identical to submit().
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
-  {
-    obs::ScopedTimer step_timer(step_histogram("step1_3"));
-    const int expected = agent_.broadcast_perf_request(
-        request_id, ensemble.scenarios, ensemble.months, heuristic, reply);
-    campaign.performance.resize(static_cast<std::size_t>(expected));
-    for (int received = 0; received < expected; ++received) {
-      std::optional<SedResponse> response = reply.receive();
-      if (!response)
-        throw std::runtime_error("oagrid: SeD channel closed during step 3");
-      const auto* perf = std::get_if<PerfResponse>(&*response);
-      if (perf == nullptr || perf->request_id != request_id)
-        throw std::runtime_error("oagrid: unexpected response during step 3");
-      campaign.performance[static_cast<std::size_t>(perf->cluster)] =
-          perf->performance;
+  const auto execute = [&](const sim::GridSimResult& plan,
+                           std::span<const Seconds> migrate_staging) {
+    obs::ScopedTimer step_timer(step_histogram("step5_6"));
+    obs::Span step_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
+                        "steps 5-6: execution", "middleware");
+    const std::vector<Count>& shares = plan.repartition.dags_per_cluster;
+    int outstanding = 0;
+    for (std::size_t c = 0; c < shares.size(); ++c) {
+      if (shares[c] == 0) continue;
+      ExecuteRequest request;
+      request.request_id = request_id;
+      request.scenarios = shares[c];
+      request.months = ensemble.months;
+      request.heuristic = heuristic;
+      request.reply = &reply;
+      request.fault = faults;
+      request.migrate_staging = migrate_staging[c];
+      agent_.send_execute(static_cast<ClusterId>(c), request);
+      ++outstanding;
     }
-  }
-
-  // Step (4): Algorithm 1, each candidate charged the serialized cost of
-  // moving its files over the home links.
-  {
-    obs::ScopedTimer step_timer(step_histogram("step4"));
-    const auto charge = [&](std::size_t c, Count k) -> Seconds {
-      if (!data.active() || k <= 0) return 0.0;
-      const auto dst = static_cast<ClusterId>(c);
-      Seconds total = 0.0;
-      if (data.stage_mb_per_scenario > 0.0)
-        total += data.network.transfer_time(
-            data.home, dst,
-            static_cast<double>(k) * data.stage_mb_per_scenario);
-      if (data.collect_mb_per_scenario > 0.0)
-        total += data.network.transfer_time(
-            dst, data.home,
-            static_cast<double>(k) * data.collect_mb_per_scenario);
-      return total;
-    };
-    campaign.repartition = sched::greedy_repartition_charged(
-        campaign.performance, ensemble.scenarios, charge);
-  }
-
-  // Input staging: every scenario's restart/forcing files leave home at
-  // t = 0, fair-shared per link; a cluster may start only once its last
-  // input landed.
-  const auto count_misses = [&](const std::vector<net::TransferRequest>& reqs,
-                                const net::TransferPlan& plan) {
-    if (options.transfer_deadline == kInfiniteTime) return;
-    for (std::size_t i = 0; i < reqs.size(); ++i)
-      if (plan.results[i].finish - reqs[i].start > options.transfer_deadline)
-        ++result.deadline_misses;
+    campaign.executions =
+        gather<ExecuteResponse>(reply, request_id, outstanding, timeout, 6);
+    std::sort(campaign.executions.begin(), campaign.executions.end(),
+              [](const ExecuteResponse& a, const ExecuteResponse& b) {
+                return a.cluster < b.cluster;
+              });
+    std::vector<std::optional<sim::ShareRun>> runs(shares.size());
+    for (const ExecuteResponse& exec : campaign.executions)
+      runs[static_cast<std::size_t>(exec.cluster)] =
+          sim::ShareRun{exec.makespan, exec.fault};
+    for (std::size_t c = 0; c < shares.size(); ++c)
+      if (shares[c] > 0 && !runs[c])
+        dropped.push_back(static_cast<ClusterId>(c));
+    return runs;
   };
-  if (data.active() && data.stage_mb_per_scenario > 0.0) {
-    std::vector<net::TransferRequest> staging;
-    for (std::size_t c = 0; c < n; ++c)
-      for (Count s = 0; s < campaign.repartition.dags_per_cluster[c]; ++s)
-        staging.push_back({data.home, static_cast<ClusterId>(c),
-                           data.stage_mb_per_scenario, 0.0});
-    const net::TransferPlan plan =
-        net::simulate_transfers(data.network, staging);
-    result.transfer_mb += plan.total_mb;
-    for (std::size_t i = 0; i < staging.size(); ++i) {
-      const auto c = static_cast<std::size_t>(staging[i].dst);
-      result.staging_seconds[c] =
-          std::max(result.staging_seconds[c], plan.results[i].finish);
-    }
-    count_misses(staging, plan);
-  }
 
-  // Steps (5)-(6): identical to submit(), over the charged repartition.
-  obs::ScopedTimer step_timer(step_histogram("step5_6"));
-  int outstanding = 0;
-  for (ClusterId c = 0; c < agent_.daemon_count(); ++c) {
-    const Count share =
-        campaign.repartition.dags_per_cluster[static_cast<std::size_t>(c)];
-    if (share == 0) continue;
-    agent_.send_execute(c, request_id, share, ensemble.months, heuristic,
-                        reply);
-    ++outstanding;
-  }
-  for (int received = 0; received < outstanding; ++received) {
-    std::optional<SedResponse> response = reply.receive();
-    if (!response)
-      throw std::runtime_error("oagrid: SeD channel closed during step 6");
-    const auto* exec = std::get_if<ExecuteResponse>(&*response);
-    if (exec == nullptr || exec->request_id != request_id)
-      throw std::runtime_error("oagrid: unexpected response during step 6");
-    campaign.executions.push_back(*exec);
-    campaign.makespan = std::max(campaign.makespan, exec->makespan);
-  }
-  std::sort(campaign.executions.begin(), campaign.executions.end(),
-            [](const ExecuteResponse& a, const ExecuteResponse& b) {
-              return a.cluster < b.cluster;
-            });
-
-  // Result collection: each cluster ships its archives home the moment its
-  // (staging-delayed) compute drains.
-  if (data.active() && data.collect_mb_per_scenario > 0.0) {
-    std::vector<net::TransferRequest> collection;
-    for (const ExecuteResponse& exec : campaign.executions) {
-      const auto c = static_cast<std::size_t>(exec.cluster);
-      const Seconds done = result.staging_seconds[c] + exec.makespan;
-      for (Count s = 0; s < campaign.repartition.dags_per_cluster[c]; ++s)
-        collection.push_back({exec.cluster, data.home,
-                              data.collect_mb_per_scenario, done});
-    }
-    const net::TransferPlan plan =
-        net::simulate_transfers(data.network, collection);
-    result.transfer_mb += plan.total_mb;
-    for (std::size_t i = 0; i < collection.size(); ++i) {
-      const auto c = static_cast<std::size_t>(collection[i].src);
-      result.collection_seconds[c] =
-          std::max(result.collection_seconds[c],
-                   plan.results[i].finish - collection[i].start);
-    }
-    count_misses(collection, plan);
-  }
-
-  for (const ExecuteResponse& exec : campaign.executions) {
-    const auto c = static_cast<std::size_t>(exec.cluster);
-    result.makespan = std::max(result.makespan,
-                               result.staging_seconds[c] + exec.makespan +
-                                   result.collection_seconds[c]);
-  }
-  if (result.deadline_misses > 0)
-    OAGRID_WARN << "client: " << result.deadline_misses
-                << " transfer(s) exceeded the " << options.transfer_deadline
+  std::vector<Seconds> transfers;
+  static_cast<sim::GridSimResult&>(campaign) = sim::run_campaign(
+      estimate, execute, ensemble, staging.data, faults, &transfers);
+  campaign.deadline_misses = static_cast<int>(
+      std::count_if(transfers.begin(), transfers.end(), [&](Seconds took) {
+        return took > staging.transfer_deadline;
+      }));
+  if (campaign.deadline_misses > 0)
+    OAGRID_WARN << "client: " << campaign.deadline_misses
+                << " transfer(s) exceeded the " << staging.transfer_deadline
                 << " s deadline";
-  OAGRID_INFO << "client: staged campaign finished, makespan "
-              << result.makespan << " s (" << result.transfer_mb
-              << " MB moved)";
-  return result;
-}
 
-Client::FaultTolerantResult Client::submit_with_deadline(
-    const appmodel::Ensemble& ensemble, sched::Heuristic heuristic,
-    std::chrono::milliseconds step_timeout) {
-  ensemble.validate();
-  OAGRID_REQUIRE(agent_.daemon_count() >= 1, "no server daemon deployed");
-  OAGRID_REQUIRE(step_timeout.count() > 0, "timeout must be positive");
-  const int request_id = next_request_id_++;
-  FaultTolerantResult result;
-
-  // Steps (1)-(3) with a step deadline: collect whatever arrives in time.
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
-  const int expected = agent_.broadcast_perf_request(
-      request_id, ensemble.scenarios, ensemble.months, heuristic, reply);
-  const auto deadline = std::chrono::steady_clock::now() + step_timeout;
-  std::vector<sched::PerformanceVector> vectors(
-      static_cast<std::size_t>(expected));
-  std::vector<bool> answered(static_cast<std::size_t>(expected), false);
-  int received = 0;
-  while (received < expected) {
-    const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    if (budget.count() <= 0) break;
-    std::optional<SedResponse> response = reply.receive_for(budget);
-    if (!response) break;
-    const auto* perf = std::get_if<PerfResponse>(&*response);
-    if (perf == nullptr || perf->request_id != request_id) continue;  // stale
-    vectors[static_cast<std::size_t>(perf->cluster)] = perf->performance;
-    answered[static_cast<std::size_t>(perf->cluster)] = true;
-    ++received;
-  }
-  for (ClusterId c = 0; c < expected; ++c) {
-    if (answered[static_cast<std::size_t>(c)]) {
+  std::sort(dropped.begin(), dropped.end());
+  for (ClusterId c = 0; c < agent_.daemon_count(); ++c)
+    if (!std::binary_search(dropped.begin(), dropped.end(), c))
       result.responsive.push_back(c);
-      result.campaign.performance.push_back(
-          std::move(vectors[static_cast<std::size_t>(c)]));
-    } else {
-      result.unresponsive.push_back(c);
-    }
-  }
-  if (result.responsive.empty())
-    throw std::runtime_error("oagrid: no cluster answered step 3 in time");
-  OAGRID_WARN << "client: " << result.unresponsive.size()
-              << " daemon(s) dropped after the step-3 deadline";
-
-  // Step (4) over the responsive subset.
-  result.campaign.repartition =
-      sched::greedy_repartition(result.campaign.performance, ensemble.scenarios);
-
-  // Steps (5)-(6), again under a deadline; silent executors are reported
-  // unresponsive (their share would be resubmitted by a real operator).
-  int outstanding = 0;
-  for (std::size_t i = 0; i < result.responsive.size(); ++i) {
-    const Count share = result.campaign.repartition.dags_per_cluster[i];
-    if (share == 0) continue;
-    agent_.send_execute(result.responsive[i], request_id, share,
-                        ensemble.months, heuristic, reply);
-    ++outstanding;
-  }
-  const auto exec_deadline = std::chrono::steady_clock::now() + step_timeout;
-  for (int got = 0; got < outstanding;) {
-    const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-        exec_deadline - std::chrono::steady_clock::now());
-    if (budget.count() <= 0) break;
-    std::optional<SedResponse> response = reply.receive_for(budget);
-    if (!response) break;
-    const auto* exec = std::get_if<ExecuteResponse>(&*response);
-    if (exec == nullptr || exec->request_id != request_id) continue;
-    result.campaign.executions.push_back(*exec);
-    result.campaign.makespan =
-        std::max(result.campaign.makespan, exec->makespan);
-    ++got;
-  }
-  std::sort(result.campaign.executions.begin(),
-            result.campaign.executions.end(),
-            [](const ExecuteResponse& a, const ExecuteResponse& b) {
-              return a.cluster < b.cluster;
-            });
+  if (!dropped.empty())
+    OAGRID_WARN << "client: " << dropped.size()
+                << " daemon(s) dropped at a step deadline";
+  OAGRID_INFO << "client: campaign finished, makespan " << campaign.makespan
+              << " s (" << campaign.transfer_mb << " MB moved)";
   return result;
 }
 

@@ -4,6 +4,7 @@
 /// paper's Figure 9 against a MasterAgent.
 
 #include <chrono>
+#include <optional>
 
 #include "appmodel/ensemble.hpp"
 #include "middleware/deployment.hpp"
@@ -12,12 +13,19 @@
 
 namespace oagrid::middleware {
 
-/// Outcome of one campaign submission.
-struct CampaignResult {
-  std::vector<sched::PerformanceVector> performance;  ///< per cluster (step 3)
-  sched::Repartition repartition;                     ///< step 4
-  std::vector<ExecuteResponse> executions;            ///< step 6 reports
-  Seconds makespan = 0.0;  ///< max over executed clusters
+/// Outcome of one campaign submission: the same fields as the in-process
+/// sim::simulate_grid, plus the daemons' step-6 reports.
+struct CampaignResult : sim::GridSimResult {
+  std::vector<ExecuteResponse> executions;  ///< step 6 reports, by cluster
+  int deadline_misses = 0;  ///< transfers over the transfer deadline
+};
+
+/// Data-staging campaign parameters: a network model plus per-transfer
+/// deadline budget (simulated seconds; kInfiniteTime = no budget). The
+/// deadline is an SLO count, not a scheduler input.
+struct StagingOptions {
+  sim::GridNetworkOptions data;
+  Seconds transfer_deadline = kInfiniteTime;
 };
 
 class Client {
@@ -26,54 +34,44 @@ class Client {
   /// HierarchicalAgent tree; the protocol is identical.
   explicit Client(Deployment& agent) : agent_(agent) {}
 
-  /// Runs steps 1-6 synchronously and returns the aggregated result. Throws
-  /// if a daemon fails to answer (closed mailbox).
+  using StagingOptions = middleware::StagingOptions;
+
+  /// Runs steps 1-6 synchronously through sim::run_campaign and returns
+  /// the aggregated result. Throws if a daemon fails to answer (closed
+  /// mailbox). With a network attached, step 4 runs the charged
+  /// Algorithm 1, inputs are staged before the execute dispatch and results
+  /// ship home afterwards, in simulated time. With `faults` active, each
+  /// daemon runs its share under its cluster's failure process. Without
+  /// either (or with a free network) this is the paper's protocol exactly.
   [[nodiscard]] CampaignResult submit(const appmodel::Ensemble& ensemble,
-                                      sched::Heuristic heuristic);
+                                      sched::Heuristic heuristic,
+                                      const StagingOptions& staging = {},
+                                      const sim::GridFaultOptions& faults = {});
 
   /// Fault-tolerant variant for real grids: daemons that do not answer a
   /// protocol step within `step_timeout` are dropped from the campaign (the
-  /// repartition runs over the responsive clusters only — a crashed SeD
-  /// must not strand the whole experiment). Throws only when *no* cluster
-  /// answers step 3.
+  /// repartition runs over the clusters that answered step 3 — a crashed
+  /// SeD must not strand the whole experiment; a share whose report misses
+  /// the step-6 deadline is left out of the makespan). Throws only when
+  /// *no* cluster answers step 3.
   struct FaultTolerantResult {
-    CampaignResult campaign;               ///< over responsive clusters
-    std::vector<ClusterId> responsive;     ///< campaign index -> real id
-    std::vector<ClusterId> unresponsive;   ///< dropped daemons
+    CampaignResult campaign;
+    std::vector<ClusterId> responsive;    ///< answered every step asked
+    std::vector<ClusterId> unresponsive;  ///< dropped at a deadline
   };
   [[nodiscard]] FaultTolerantResult submit_with_deadline(
       const appmodel::Ensemble& ensemble, sched::Heuristic heuristic,
-      std::chrono::milliseconds step_timeout);
-
-  /// Data-staging campaign parameters: a network model plus per-transfer
-  /// deadline budget (simulated seconds; kInfiniteTime = no budget).
-  struct StagingOptions {
-    sim::GridNetworkOptions data;
-    Seconds transfer_deadline = kInfiniteTime;
-  };
-
-  /// Network-aware outcome: the protocol result plus the simulated data
-  /// movement around it.
-  struct StagedCampaignResult {
-    CampaignResult campaign;  ///< compute-only makespans, as reported by SeDs
-    std::vector<Seconds> staging_seconds;     ///< per cluster, before step 5
-    std::vector<Seconds> collection_seconds;  ///< per cluster, after step 6
-    Seconds makespan = 0.0;  ///< staging + compute + collection, max
-    double transfer_mb = 0.0;
-    int deadline_misses = 0;  ///< transfers over options.transfer_deadline
-  };
-
-  /// Steps 1-6 with data movement made explicit: step 4 runs the charged
-  /// Algorithm 1 (each candidate cluster pays its staging/collection over
-  /// `options.data.network`), inputs are staged before the execute
-  /// dispatch, and results ship home afterwards — all in simulated time via
-  /// the fair-share allocator. With no network attached (or a free one)
-  /// this degrades exactly to submit(): same repartition, same makespan.
-  [[nodiscard]] StagedCampaignResult submit_staged(
-      const appmodel::Ensemble& ensemble, sched::Heuristic heuristic,
-      const StagingOptions& options);
+      std::chrono::milliseconds step_timeout,
+      const StagingOptions& staging = {},
+      const sim::GridFaultOptions& faults = {});
 
  private:
+  FaultTolerantResult run(const appmodel::Ensemble& ensemble,
+                          sched::Heuristic heuristic,
+                          const StagingOptions& staging,
+                          const sim::GridFaultOptions& faults,
+                          std::optional<std::chrono::milliseconds> timeout);
+
   Deployment& agent_;
   int next_request_id_ = 1;
 };

@@ -19,16 +19,12 @@ class Deployment {
   [[nodiscard]] virtual int daemon_count() const = 0;
 
   /// Step (1): fan the performance request out to every daemon; responses
-  /// arrive at `reply`. Returns the number of daemons contacted.
-  virtual int broadcast_perf_request(int request_id, Count scenarios,
-                                     Count months, sched::Heuristic heuristic,
-                                     Mailbox<SedResponse>& reply) = 0;
+  /// arrive at `request.reply`. Returns the number of daemons contacted.
+  virtual int broadcast_perf_request(const PerfRequest& request) = 0;
 
   /// Step (5): deliver one execution request to the daemon serving cluster
   /// `id`. Throws on an unknown id.
-  virtual void send_execute(ClusterId id, int request_id, Count scenarios,
-                            Count months, sched::Heuristic heuristic,
-                            Mailbox<SedResponse>& reply) = 0;
+  virtual void send_execute(ClusterId id, const ExecuteRequest& request) = 0;
 };
 
 }  // namespace oagrid::middleware

@@ -63,9 +63,7 @@ void LocalAgent::handle(const AgentBroadcast& broadcast) {
 void LocalAgent::handle(const AgentRoute& route) {
   for (std::size_t c = 0; c < children_.size(); ++c) {
     const auto& ids = child_served_[c];
-    if (!std::binary_search(ids.begin(), ids.end(), route.target) &&
-        std::find(ids.begin(), ids.end(), route.target) == ids.end())
-      continue;
+    if (!std::binary_search(ids.begin(), ids.end(), route.target)) continue;
     if (const auto* sed = std::get_if<ServerDaemon*>(&children_[c])) {
       (*sed)->inbox().send(SedRequest{route.request});
     } else {
@@ -118,31 +116,14 @@ ServerDaemon& HierarchicalAgent::daemon(ClusterId id) {
   return *daemons_[static_cast<std::size_t>(id)];
 }
 
-int HierarchicalAgent::broadcast_perf_request(int request_id, Count scenarios,
-                                              Count months,
-                                              sched::Heuristic heuristic,
-                                              Mailbox<SedResponse>& reply) {
-  PerfRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.heuristic = heuristic;
-  request.reply = &reply;
+int HierarchicalAgent::broadcast_perf_request(const PerfRequest& request) {
   root_->inbox().send(AgentMessage{AgentBroadcast{request}});
   return daemon_count();
 }
 
-void HierarchicalAgent::send_execute(ClusterId id, int request_id,
-                                     Count scenarios, Count months,
-                                     sched::Heuristic heuristic,
-                                     Mailbox<SedResponse>& reply) {
+void HierarchicalAgent::send_execute(ClusterId id,
+                                     const ExecuteRequest& request) {
   OAGRID_REQUIRE(id >= 0 && id < daemon_count(), "unknown cluster id");
-  ExecuteRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.heuristic = heuristic;
-  request.reply = &reply;
   root_->inbox().send(AgentMessage{AgentRoute{id, request}});
 }
 

@@ -83,12 +83,8 @@ class HierarchicalAgent final : public Deployment {
   ~HierarchicalAgent() override;
 
   [[nodiscard]] int daemon_count() const override;
-  int broadcast_perf_request(int request_id, Count scenarios, Count months,
-                             sched::Heuristic heuristic,
-                             Mailbox<SedResponse>& reply) override;
-  void send_execute(ClusterId id, int request_id, Count scenarios, Count months,
-                    sched::Heuristic heuristic,
-                    Mailbox<SedResponse>& reply) override;
+  int broadcast_perf_request(const PerfRequest& request) override;
+  void send_execute(ClusterId id, const ExecuteRequest& request) override;
 
   /// Depth of the agent tree (1 = a single root above the SeDs).
   [[nodiscard]] int tree_depth() const noexcept { return tree_depth_; }

@@ -47,6 +47,13 @@ struct QueueProbe {
   obs::Counter* dropped_sends = nullptr;    ///< sends after close()
 };
 
+// GCC flags moving a variant of non-trivially-movable alternatives (such as
+// ExecuteRequest) through the queue as maybe-uninitialized: a false positive.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 template <typename T>
 class Mailbox {
  public:
@@ -137,5 +144,9 @@ class Mailbox {
   bool closed_ = false;
   QueueProbe probe_;
 };
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 }  // namespace oagrid::middleware

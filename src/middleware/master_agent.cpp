@@ -17,31 +17,12 @@ ServerDaemon& MasterAgent::daemon(ClusterId id) {
   return *daemons_[static_cast<std::size_t>(id)];
 }
 
-int MasterAgent::broadcast_perf_request(int request_id, Count scenarios,
-                                        Count months,
-                                        sched::Heuristic heuristic,
-                                        Mailbox<SedResponse>& reply) {
-  for (auto& daemon : daemons_) {
-    PerfRequest request;
-    request.request_id = request_id;
-    request.scenarios = scenarios;
-    request.months = months;
-    request.heuristic = heuristic;
-    request.reply = &reply;
-    daemon->inbox().send(SedRequest{request});
-  }
+int MasterAgent::broadcast_perf_request(const PerfRequest& request) {
+  for (auto& daemon : daemons_) daemon->inbox().send(SedRequest{request});
   return daemon_count();
 }
 
-void MasterAgent::send_execute(ClusterId id, int request_id, Count scenarios,
-                               Count months, sched::Heuristic heuristic,
-                               Mailbox<SedResponse>& reply) {
-  ExecuteRequest request;
-  request.request_id = request_id;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.heuristic = heuristic;
-  request.reply = &reply;
+void MasterAgent::send_execute(ClusterId id, const ExecuteRequest& request) {
   daemon(id).inbox().send(SedRequest{request});
 }
 

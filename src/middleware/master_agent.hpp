@@ -33,14 +33,10 @@ class MasterAgent final : public Deployment {
 
   /// Step (1): broadcast a performance request; responses arrive at `reply`.
   /// Returns the number of daemons contacted.
-  int broadcast_perf_request(int request_id, Count scenarios, Count months,
-                             sched::Heuristic heuristic,
-                             Mailbox<SedResponse>& reply) override;
+  int broadcast_perf_request(const PerfRequest& request) override;
 
   /// Step (5): send one execution request to one daemon.
-  void send_execute(ClusterId id, int request_id, Count scenarios, Count months,
-                    sched::Heuristic heuristic,
-                    Mailbox<SedResponse>& reply) override;
+  void send_execute(ClusterId id, const ExecuteRequest& request) override;
 
   /// Stops every daemon (also done on destruction).
   void shutdown();

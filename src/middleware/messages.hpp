@@ -10,8 +10,10 @@
 #include <variant>
 
 #include "common/types.hpp"
+#include "fault/failure.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/repartition.hpp"
+#include "sim/grid_sim.hpp"
 
 namespace oagrid::middleware {
 
@@ -35,6 +37,8 @@ struct ExecuteResponse {
   Count posts_executed = 0;
   /// Busy fraction of the allocated processor-seconds (see SimResult).
   double group_utilization = 0.0;
+  /// Lost-work accounting of a failure-injected run; zeros otherwise.
+  fault::FaultStats fault;
 };
 
 /// Streamed during step (6) when the request asks for it: how far the
@@ -63,7 +67,9 @@ struct PerfRequest {
 
 /// Step (5) request: execute `scenarios` simulations. Setting
 /// `progress_every` > 0 asks for a ProgressUpdate on `reply` each time that
-/// many main tasks complete.
+/// many main tasks complete. The failure description travels by value: a
+/// daemon dropped at a client deadline may still be running after the
+/// client returned.
 struct ExecuteRequest {
   int request_id = 0;
   Count scenarios = 0;
@@ -71,6 +77,10 @@ struct ExecuteRequest {
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
   Count progress_every = 0;
   Mailbox<SedResponse>* reply = nullptr;
+  /// Failures injected into the run (inactive by default).
+  sim::GridFaultOptions fault;
+  /// Price of re-staging one migrated scenario on this cluster.
+  Seconds migrate_staging = 0.0;
 };
 
 struct ShutdownRequest {};

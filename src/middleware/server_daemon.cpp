@@ -2,7 +2,7 @@
 
 #include "common/log.hpp"
 #include "obs/obs.hpp"
-#include "sim/ensemble_sim.hpp"
+#include "sim/grid_sim.hpp"
 #include "sim/perf_vector.hpp"
 
 namespace oagrid::middleware {
@@ -124,9 +124,11 @@ void ServerDaemon::handle(const ExecuteRequest& request) {
         request.reply->send(SedResponse{update});
       };
     }
-    const sim::SimResult result = sim::simulate_with_heuristic(
-        cluster_, request.heuristic, ensemble, options);
+    const sim::SimResult result =
+        sim::run_share(cluster_, id_, request.heuristic, ensemble,
+                       request.fault, request.migrate_staging, options);
     response.makespan = result.makespan;
+    response.fault = result.fault;
     response.mains_executed = result.mains_executed;
     response.posts_executed = result.posts_executed;
     response.group_utilization = result.group_utilization;

@@ -1,22 +1,20 @@
 #pragma once
 /// \file calendar.hpp
-/// \brief Flat, preallocated event calendar for plain-struct event payloads.
-///
-/// sim::Engine type-erases every callback behind std::function, which heap
-/// allocates once the capture exceeds the small-buffer size — and the
-/// ensemble simulator's captures always do (this + group + scenario + month).
-/// Two allocations per simulated month is the dominant cost of the DES hot
-/// loop once the scheduling logic itself is cheap.
+/// \brief Flat, preallocated event calendar for plain-struct event payloads
+/// — the event core of the discrete-event simulator.
 ///
 /// Calendar<Payload> stores payloads by value in a binary heap over one
 /// contiguous, reusable buffer: scheduling is a push + sift-up, popping a
 /// swap + sift-down, and a whole simulation allocates O(max concurrent
-/// events) — reserve() once, then the hot loop is allocation-free.
+/// events) — reserve() once, then the hot loop is allocation-free. Plain
+/// payloads instead of type-erased callbacks keep it that way: a capturing
+/// std::function heap-allocates once the capture outgrows its small buffer.
 ///
-/// Ordering contract matches Engine: events execute in (time, insertion
-/// sequence) order, so exactly-simultaneous events (synchronized group sets
-/// finishing in lockstep) run in the order they were scheduled and the
-/// simulation stays fully deterministic.
+/// Ordering contract: events pop in (time, insertion sequence) order, so
+/// exactly-simultaneous events (synchronized group sets finishing in
+/// lockstep) run in the order they were scheduled and the simulation stays
+/// fully deterministic. Events may be scheduled at now() (zero delay) but
+/// never in the past.
 
 #include <cstddef>
 #include <cstdint>

@@ -160,9 +160,8 @@ class EvalCache {
 /// Simulates `schedule` on `cluster` through the global cache and returns
 /// the makespan. Requests with observable side effects — trace capture, an
 /// obs trace sink, or a progress hook — bypass the cache entirely (a cache
-/// hit would silently swallow the side effects), as does an `Engine`-level
-/// question that needs more than the makespan: call simulate_ensemble
-/// directly for those.
+/// hit would silently swallow the side effects). For any question that
+/// needs more than the makespan, call simulate_ensemble directly.
 [[nodiscard]] Seconds cached_makespan(const platform::Cluster& cluster,
                                       const sched::GroupSchedule& schedule,
                                       const std::vector<MonthIndex>& months,

@@ -2,7 +2,18 @@
 /// \file grid_sim.hpp
 /// \brief Whole-grid execution: performance vectors, Algorithm-1
 /// repartition, per-cluster simulation (§5-6 of the paper), optionally
-/// priced over a network model (deployment staging in, result shipping out).
+/// priced over a network model (deployment staging in, result shipping out)
+/// and under injected failures.
+///
+/// The Figure 9 flow is written once, in run_campaign. Where the clusters
+/// live is the only thing that differs between its two executors: in
+/// process (simulate_grid) or behind a middleware deployment
+/// (middleware::Client).
+
+#include <functional>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "appmodel/ensemble.hpp"
 #include "appmodel/volumes.hpp"
@@ -11,6 +22,7 @@
 #include "platform/grid.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/repartition.hpp"
+#include "sim/ensemble_sim.hpp"
 
 namespace oagrid::sim {
 
@@ -56,11 +68,6 @@ struct GridFaultOptions {
   /// Restart-file cadence used both by the rewind semantics and by the
   /// expected-makespan placement charge.
   MonthIndex checkpoint_months = 1;
-  /// Also fold the expected failure inflation into Algorithm 1's candidate
-  /// comparison (expected-makespan-under-failures placement charge), so
-  /// unreliable clusters receive proportionally less work and dead ones
-  /// receive none.
-  bool charge_placement = true;
 
   [[nodiscard]] bool active() const noexcept { return model.active(); }
 };
@@ -101,5 +108,50 @@ struct GridSimResult {
     sched::Heuristic heuristic, std::size_t threads = 1,
     const GridNetworkOptions& net_options = {},
     const GridFaultOptions& fault_options = {});
+
+/// One cluster's step-6 report: the makespan of its share, and the lost-work
+/// accounting of the run when the cluster has a live failure process.
+struct ShareRun {
+  Seconds compute = 0.0;
+  fault::FaultStats fault;
+};
+
+/// Steps 1-3 of an executor: one performance vector per platform cluster.
+/// An empty vector marks a cluster that did not answer; it gets no work.
+using EstimateStep = std::function<std::vector<sched::PerformanceVector>()>;
+
+/// Steps 5-6 of an executor: runs `campaign.repartition.dags_per_cluster[c]`
+/// scenarios on every cluster given work, `migrate_staging[c]` pricing the
+/// re-staging of one scenario there. Returns one entry per cluster: nullopt
+/// for a cluster given no work or whose report never arrived.
+using ExecuteStep = std::function<std::vector<std::optional<ShareRun>>(
+    const GridSimResult& campaign, std::span<const Seconds> migrate_staging)>;
+
+/// The Figure 9 flow once, for both executors: estimate, Algorithm 1 (with
+/// the network and failure charges composed), input staging, execution,
+/// result collection, and the per-cluster makespan fold. Staging starts at
+/// t = 0, fair-shared per home link; each cluster's results ship home at
+/// its simulated staging finish plus its compute time. Clusters whose
+/// report never arrived contribute no collection and no makespan.
+/// `transfer_seconds`, when given, receives the duration of every
+/// simulated transfer, staging first.
+[[nodiscard]] GridSimResult run_campaign(
+    const EstimateStep& estimate, const ExecuteStep& execute,
+    const appmodel::Ensemble& ensemble,
+    const GridNetworkOptions& net_options,
+    const GridFaultOptions& fault_options,
+    std::vector<Seconds>* transfer_seconds = nullptr);
+
+/// Step 6 of one cluster: `share` under `heuristic` on `cluster` (platform
+/// id `id`), with that cluster's failure process from `fault_options`
+/// injected when it has one and `migrate_staging` charged per migration.
+/// A cluster without a live process runs the plain DES. Both executors run
+/// failure-injected shares through here.
+[[nodiscard]] SimResult run_share(const platform::Cluster& cluster,
+                                  ClusterId id, sched::Heuristic heuristic,
+                                  const appmodel::Ensemble& share,
+                                  const GridFaultOptions& fault_options,
+                                  Seconds migrate_staging,
+                                  SimOptions options = {});
 
 }  // namespace oagrid::sim

@@ -14,6 +14,9 @@
 #include "common/rng.hpp"
 #include "fault/parser.hpp"
 #include "knapsack/knapsack.hpp"
+#include "middleware/client.hpp"
+#include "middleware/local_agent.hpp"
+#include "middleware/master_agent.hpp"
 #include "net/parser.hpp"
 #include "sched/lower_bounds.hpp"
 #include "sched/makespan_model.hpp"
@@ -176,6 +179,46 @@ Verdict check_thread_invariance(const Case& world) {
     return fail("per-cluster makespans differ across thread counts");
   if (serial.repartition.assignment != threaded.repartition.assignment)
     return fail("scenario assignment differs across thread counts");
+  return std::nullopt;
+}
+
+// --- the middleware executes exactly the in-process campaign -----------------
+
+Verdict check_middleware_vs_grid(const Case& world) {
+  middleware::StagingOptions staging;
+  staging.data = net_options_of(world);
+  const sim::GridFaultOptions faults = fault_options_of(world);
+  const sim::GridSimResult direct = sim::simulate_grid(
+      world.grid, world.ensemble, world.heuristic, 1, staging.data, faults);
+
+  // Flat fleet or agent tree, picked by the seed: the protocol is the same.
+  const bool tree = (world.spec.seed & 1) != 0;
+  std::unique_ptr<middleware::Deployment> deployment;
+  if (tree)
+    deployment = std::make_unique<middleware::HierarchicalAgent>(
+        world.grid, 2 + static_cast<int>((world.spec.seed >> 1) % 2));
+  else
+    deployment = std::make_unique<middleware::MasterAgent>(world.grid);
+  const middleware::CampaignResult remote =
+      middleware::Client(*deployment)
+          .submit(world.ensemble, world.heuristic, staging, faults);
+  deployment.reset();
+
+  const fault::FaultStats& a = remote.fault;
+  const fault::FaultStats& b = direct.fault;
+  if (remote.makespan != direct.makespan ||
+      remote.cluster_makespans != direct.cluster_makespans ||
+      remote.repartition.assignment != direct.repartition.assignment ||
+      remote.staging_seconds != direct.staging_seconds ||
+      remote.collection_seconds != direct.collection_seconds ||
+      remote.transfer_mb != direct.transfer_mb || a.outages != b.outages ||
+      a.kills != b.kills || a.rewound_months != b.rewound_months ||
+      a.downtime_seconds != b.downtime_seconds ||
+      a.lost_seconds != b.lost_seconds)
+    return fail(tree ? "tree" : "flat", " middleware campaign (makespan ",
+                remote.makespan, ", ", a.kills, " kills) differs from "
+                "simulate_grid (makespan ", direct.makespan, ", ", b.kills,
+                " kills)");
   return std::nullopt;
 }
 
@@ -581,6 +624,10 @@ const std::vector<Invariant>& all_invariants() {
       {"thread-invariance",
        "grid simulation results are bit-identical at any thread count",
        check_thread_invariance},
+      {"middleware-vs-grid",
+       "Client::submit over a flat or tree deployment equals simulate_grid "
+       "bit for bit, network and failures included",
+       check_middleware_vs_grid},
       {"net-conservation",
        "fair-share transfers conserve bytes and never beat an uncontended "
        "link",

@@ -124,11 +124,11 @@ TEST(CliErrors, FailuresFileWithoutHeaderIsLineNumbered) {
       << result.output;
 }
 
-TEST(CliErrors, ConflictingFailureAndClusterOptions) {
+TEST(CliErrors, FailuresWithClustersRunThroughTheMiddleware) {
   const CliResult result =
       run_cli("simulate --months 2 --clusters 3 --failures");
-  EXPECT_NE(result.exit_code, 0);
-  EXPECT_NE(result.output.find("not supported"), std::string::npos)
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("failures:"), std::string::npos)
       << result.output;
 }
 

@@ -5,10 +5,9 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
-
-#include "common/parallel.hpp"
 
 namespace oagrid {
 namespace {
@@ -168,6 +167,113 @@ TEST(ThreadPool, ParallelTransformEmptyAndExceptional) {
 
 TEST(ThreadPool, SharedPoolIsASingleton) {
   EXPECT_EQ(&shared_pool(), &shared_pool());
+}
+
+TEST(DefaultParallelism, AtLeastOne) {
+  EXPECT_GE(default_parallelism(), 1u);
+}
+
+// --- the shared pool: every parallel loop of the library runs on it ---------
+
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> hits(1000);
+  shared_pool().parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, EmptyRangeIsNoop) {
+  bool touched = false;
+  shared_pool().parallel_for(5, 5, [&](std::size_t) { touched = true; });
+  shared_pool().parallel_for(7, 3, [&](std::size_t) { touched = true; });
+  EXPECT_FALSE(touched);
+}
+
+TEST(ParallelFor, RespectsOffsetRange) {
+  std::atomic<long long> sum{0};
+  shared_pool().parallel_for(10, 20, [&](std::size_t i) {
+    sum += static_cast<long long>(i);
+  });
+  EXPECT_EQ(sum.load(), 145);  // 10+...+19
+}
+
+TEST(ParallelFor, SingleThreadFallbackIsSequential) {
+  std::vector<std::size_t> order;
+  shared_pool().parallel_for(
+      0, 10, [&](std::size_t i) { order.push_back(i); }, 1);
+  std::vector<std::size_t> expected(10);
+  std::iota(expected.begin(), expected.end(), 0u);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ParallelFor, PropagatesException) {
+  EXPECT_THROW(shared_pool().parallel_for(0, 100,
+                                          [](std::size_t i) {
+                                            if (i == 42)
+                                              throw std::runtime_error("boom");
+                                          }),
+               std::runtime_error);
+}
+
+TEST(ParallelFor, ManyMoreThreadsThanWork) {
+  // A cap far above the range (and the pool) is harmless.
+  std::atomic<int> count{0};
+  shared_pool().parallel_for(0, 3, [&](std::size_t) { count++; }, 64);
+  EXPECT_EQ(count.load(), 3);
+}
+
+TEST(ParallelFor, ExceptionIsFirstComeWinsWhenSerial) {
+  // Cap 1 runs in index order, so "first come" is exactly the lowest
+  // failing index — the strictest observable form of the first-come-wins
+  // propagation contract.
+  try {
+    shared_pool().parallel_for(
+        0, 100,
+        [](std::size_t i) {
+          if (i >= 30) throw std::runtime_error("idx" + std::to_string(i));
+        },
+        1);
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "idx30");
+  }
+}
+
+TEST(ParallelFor, SingleThreadRunsAreDeterministic) {
+  std::vector<std::size_t> first;
+  std::vector<std::size_t> second;
+  shared_pool().parallel_for(
+      0, 64, [&](std::size_t i) { first.push_back(i); }, 1);
+  shared_pool().parallel_for(
+      0, 64, [&](std::size_t i) { second.push_back(i); }, 1);
+  EXPECT_EQ(first, second);
+}
+
+TEST(ParallelFor, NestedUseRunsInlineInOrder) {
+  // A body that itself enters the pool must get a serial, in-order inner
+  // loop on the calling thread (the nested-use guard).
+  std::atomic<int> inner_total{0};
+  std::atomic<bool> inner_in_order{true};
+  shared_pool().parallel_for(0, 4, [&](std::size_t) {
+    std::vector<std::size_t> inner;  // unsynchronized: inline execution only
+    shared_pool().parallel_for(0, 5,
+                               [&](std::size_t i) { inner.push_back(i); });
+    inner_total += static_cast<int>(inner.size());
+    for (std::size_t i = 0; i < inner.size(); ++i)
+      if (inner[i] != i) inner_in_order = false;
+  });
+  EXPECT_EQ(inner_total.load(), 20);
+  EXPECT_TRUE(inner_in_order.load());
+}
+
+TEST(ParallelFor, NestedExceptionPropagatesThroughBothLevels) {
+  EXPECT_THROW(shared_pool().parallel_for(
+                   0, 4,
+                   [](std::size_t) {
+                     shared_pool().parallel_for(0, 4, [](std::size_t j) {
+                       if (j == 2) throw std::runtime_error("inner");
+                     });
+                   }),
+               std::runtime_error);
 }
 
 // Shutdown stress: destroy the pool immediately after the last region

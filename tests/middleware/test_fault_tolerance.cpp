@@ -98,6 +98,48 @@ TEST(FaultTolerance, DeadLeafInsideAnAgentTree) {
   EXPECT_GT(result.campaign.makespan, 0.0);
 }
 
+/// Forwards everything to a real fleet except the execute requests for one
+/// cluster, which it swallows: that daemon answers step 3, then goes silent.
+class SilentExecutorDeployment final : public Deployment {
+ public:
+  SilentExecutorDeployment(MasterAgent& fleet, ClusterId silent)
+      : fleet_(fleet), silent_(silent) {}
+
+  [[nodiscard]] int daemon_count() const override {
+    return fleet_.daemon_count();
+  }
+  int broadcast_perf_request(const PerfRequest& request) override {
+    return fleet_.broadcast_perf_request(request);
+  }
+  void send_execute(ClusterId id, const ExecuteRequest& request) override {
+    if (id != silent_) fleet_.send_execute(id, request);
+  }
+
+ private:
+  MasterAgent& fleet_;
+  ClusterId silent_;
+};
+
+TEST(FaultTolerance, SilentExecutorIsReportedUnresponsive) {
+  // Cluster 0 is the fastest profile, so Algorithm 1 always gives it work;
+  // its report never comes, and the step-6 deadline must say so.
+  const auto grid = platform::make_builtin_grid(25);
+  MasterAgent fleet(grid);
+  SilentExecutorDeployment deployment(fleet, 0);
+  Client client(deployment);
+  const auto result = client.submit_with_deadline(
+      Ensemble{8, 10}, sched::Heuristic::kKnapsack, 500ms);
+  fleet.shutdown();
+
+  ASSERT_GT(result.campaign.repartition.dags_per_cluster[0], 0);
+  EXPECT_EQ(result.unresponsive, std::vector<ClusterId>{0});
+  EXPECT_EQ(result.responsive, (std::vector<ClusterId>{1, 2, 3, 4}));
+  for (const auto& exec : result.campaign.executions)
+    EXPECT_NE(exec.cluster, 0);
+  EXPECT_EQ(result.campaign.cluster_makespans[0], 0.0);
+  EXPECT_GT(result.campaign.makespan, 0.0);
+}
+
 TEST(FaultTolerance, AllDeadThrows) {
   const auto grid = platform::make_builtin_grid(20).prefix(2);
   MasterAgent agent(grid);

@@ -4,8 +4,10 @@
 #include <vector>
 
 #include "middleware/client.hpp"
+#include "middleware/local_agent.hpp"
 #include "middleware/mailbox.hpp"
 #include "middleware/master_agent.hpp"
+#include "net/network.hpp"
 #include "platform/profiles.hpp"
 #include "sim/grid_sim.hpp"
 
@@ -182,6 +184,41 @@ TEST(Client, FullCampaignMatchesDirectSimulation) {
     EXPECT_GT(exec.scenarios_run, 0);
     EXPECT_EQ(exec.mains_executed, exec.scenarios_run * ensemble.months);
   }
+}
+
+TEST(Client, FailureInjectionMatchesDirectSimulation) {
+  // The failure description travels in each execute request: every SeD runs
+  // its share under its own cluster's process, exactly as the in-process
+  // grid simulation does, and reports the lost work back.
+  const auto grid = platform::make_builtin_grid(30).prefix(3);
+  const Ensemble ensemble{6, 12};
+  const auto heuristic = sched::Heuristic::kKnapsack;
+  sim::GridFaultOptions faults;
+  faults.model =
+      fault::FailureModel::uniform_exponential(3, 20000.0, 2000.0, 5);
+  faults.recovery = fault::RecoveryPolicy::kMigrateWithState;
+  Client::StagingOptions staging;
+  staging.data =
+      sim::campaign_network_options(net::renater_network(3), ensemble);
+
+  const sim::GridSimResult direct =
+      sim::simulate_grid(grid, ensemble, heuristic, 1, staging.data, faults);
+  HierarchicalAgent tree(grid, 2);
+  Client client(tree);
+  const CampaignResult campaign =
+      client.submit(ensemble, heuristic, staging, faults);
+  tree.shutdown();
+
+  EXPECT_EQ(campaign.repartition.assignment, direct.repartition.assignment);
+  EXPECT_EQ(campaign.cluster_makespans, direct.cluster_makespans);
+  EXPECT_EQ(campaign.makespan, direct.makespan);
+  EXPECT_EQ(campaign.fault.outages, direct.fault.outages);
+  EXPECT_EQ(campaign.fault.kills, direct.fault.kills);
+  EXPECT_EQ(campaign.fault.lost_seconds, direct.fault.lost_seconds);
+  EXPECT_GT(campaign.fault.outages, 0);
+  Count outages = 0;
+  for (const auto& exec : campaign.executions) outages += exec.fault.outages;
+  EXPECT_EQ(outages, campaign.fault.outages);
 }
 
 TEST(Client, SequentialCampaignsReuseTheFleet) {

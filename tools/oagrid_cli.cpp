@@ -188,30 +188,44 @@ std::optional<fault::FailureModel> fault_model_from(const ArgParser& args,
   return model;
 }
 
-/// Resolves --checkpoint-months. 0 asks for the Young/Daly optimum against
-/// the most failure-prone stochastic cluster, with `checkpoint_cost` the
-/// price of keeping one restart (the hand-off transfer when a network is
-/// attached) — free checkpoints round down to the monthly cadence, which is
-/// exactly the application's natural behaviour.
-MonthIndex checkpoint_cadence_from(const ArgParser& args,
-                                   const fault::FailureModel& model,
-                                   Seconds month_seconds,
-                                   MonthIndex max_months,
-                                   Seconds checkpoint_cost) {
-  if (const long long k = args.get_int("checkpoint-months"); k > 0)
-    return static_cast<MonthIndex>(k);
+/// The failure injection selected by --failures, --recovery and
+/// --checkpoint-months over `clusters` clusters; inactive without
+/// --failures. A cadence of 0 asks for the Young/Daly optimum against the
+/// most failure-prone stochastic cluster: one scenario month lasts NS / the
+/// best throughput of `anchor`, and keeping one restart costs
+/// `checkpoint_cost` (the hand-off transfer when a network is attached) —
+/// free checkpoints round down to the monthly cadence, which is exactly the
+/// application's natural behaviour.
+sim::GridFaultOptions fault_options_from(const ArgParser& args, int clusters,
+                                         const platform::Cluster& anchor,
+                                         const appmodel::Ensemble& ensemble,
+                                         Seconds checkpoint_cost) {
+  sim::GridFaultOptions faults;
+  auto model = fault_model_from(args, clusters);
+  if (!model) return faults;
+  faults.model = std::move(*model);
+  faults.recovery = fault::recovery_policy_from(args.get("recovery"));
+  if (const long long k = args.get_int("checkpoint-months"); k > 0) {
+    faults.checkpoint_months = static_cast<MonthIndex>(k);
+    return faults;
+  }
   Seconds mtbf = 0.0;
-  for (ClusterId c = 0; c < model.cluster_count(); ++c) {
-    const fault::FailureProcess& process = model.process(c);
+  for (ClusterId c = 0; c < faults.model.cluster_count(); ++c) {
+    const fault::FailureProcess& process = faults.model.process(c);
     const bool stochastic =
         process.kind == fault::ProcessKind::kExponential ||
         process.kind == fault::ProcessKind::kWeibull;
     if (stochastic && (mtbf == 0.0 || process.mtbf < mtbf))
       mtbf = process.mtbf;
   }
-  if (mtbf <= 0.0) return 1;  // trace-only or dead: keep every restart
-  return fault::optimal_checkpoint_months(month_seconds, checkpoint_cost,
-                                          mtbf, max_months);
+  if (mtbf <= 0.0) return faults;  // trace-only or dead: every restart
+  const Seconds month_seconds =
+      static_cast<double>(ensemble.scenarios) /
+      sched::best_throughput(anchor, ensemble.scenarios);
+  faults.checkpoint_months = fault::optimal_checkpoint_months(
+      month_seconds, checkpoint_cost, mtbf,
+      static_cast<MonthIndex>(ensemble.months));
+  return faults;
 }
 
 void print_fault_stats(const fault::FaultStats& stats) {
@@ -256,82 +270,78 @@ void add_common_workload(ArgParser& args) {
 
 /// Submits one campaign through a deployed agent hierarchy and prints the
 /// per-cluster outcome (shared by `grid` and `simulate --clusters N`).
-/// --network routes through Client::submit_staged (data movement priced and
-/// shown); otherwise --step-timeout > 0 routes through the fault-tolerant
-/// submit_with_deadline.
+/// --network prices data movement, --failures injects outages into every
+/// daemon's share, and --step-timeout > 0 drops daemons that miss a
+/// protocol-step deadline.
 void run_grid_campaign(middleware::Deployment& deployment,
                        const platform::Grid& grid,
                        const appmodel::Ensemble& ensemble,
                        sched::Heuristic heuristic, const ArgParser& args) {
+  const auto home = static_cast<ClusterId>(args.get_int("home"));
+  middleware::Client::StagingOptions staging;
+  if (const auto network = network_from(args, grid.cluster_count()))
+    staging.data = sim::campaign_network_options(*network, ensemble, {}, home);
+  if (const double budget = args.get_double("transfer-deadline"); budget > 0.0)
+    staging.transfer_deadline = budget;
+  sim::GridFaultOptions faults;
+  if (args.flag("failures")) {
+    faults = fault_options_from(args, grid.cluster_count(), grid.cluster(home),
+                                ensemble, 0.0);
+    std::cout << "failure injection: recovery=" << args.get("recovery")
+              << ", checkpoint every " << faults.checkpoint_months
+              << " month(s)\n\n";
+  }
+
   middleware::Client client(deployment);
+  middleware::CampaignResult result;
+  if (const long long timeout_ms = args.get_int("step-timeout");
+      timeout_ms > 0) {
+    auto guarded = client.submit_with_deadline(
+        ensemble, heuristic, std::chrono::milliseconds(timeout_ms), staging,
+        faults);
+    std::cout << guarded.responsive.size() << " cluster(s) answered, "
+              << guarded.unresponsive.size() << " dropped after the "
+              << timeout_ms << " ms step deadline\n";
+    result = std::move(guarded.campaign);
+  } else {
+    result = client.submit(ensemble, heuristic, staging, faults);
+  }
 
-  if (const auto network = network_from(args, grid.cluster_count())) {
-    middleware::Client::StagingOptions staging;
-    staging.data = sim::campaign_network_options(
-        *network, ensemble, {},
-        static_cast<ClusterId>(args.get_int("home")));
-    if (const double budget = args.get_double("transfer-deadline");
-        budget > 0.0)
-      staging.transfer_deadline = budget;
-    const auto result = client.submit_staged(ensemble, heuristic, staging);
-
-    TableWriter table({"cluster", "procs", "scenarios", "stage [s]",
-                       "compute [s]", "collect [s]", "total"});
-    for (ClusterId c = 0; c < grid.cluster_count(); ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      Seconds ms = 0;
-      for (const auto& exec : result.campaign.executions)
-        if (exec.cluster == c) ms = exec.makespan;
-      table.add_row(
-          {grid.cluster(c).name(), std::to_string(grid.cluster(c).resources()),
-           std::to_string(result.campaign.repartition.dags_per_cluster[ci]),
-           fmt(result.staging_seconds[ci], 1), fmt(ms, 0),
-           fmt(result.collection_seconds[ci], 1),
-           fmt_duration(result.staging_seconds[ci] + ms +
-                        result.collection_seconds[ci])});
-    }
-    table.print(std::cout);
+  TableWriter table({"cluster", "procs", "scenarios", "stage [s]",
+                     "compute [s]", "collect [s]", "makespan", "util %"});
+  for (ClusterId c = 0; c < grid.cluster_count(); ++c) {
+    const auto ci = static_cast<std::size_t>(c);
+    Seconds compute = 0;
+    double util = 0;
+    for (const auto& exec : result.executions)
+      if (exec.cluster == c) {
+        compute = exec.makespan;
+        util = exec.group_utilization;
+      }
+    const bool unavailable = compute >= fault::kUnavailableTime;
+    table.add_row(
+        {grid.cluster(c).name(), std::to_string(grid.cluster(c).resources()),
+         std::to_string(result.repartition.dags_per_cluster[ci]),
+         fmt(result.staging_seconds[ci], 1),
+         unavailable ? "unavailable" : fmt(compute, 0),
+         fmt(result.collection_seconds[ci], 1),
+         unavailable ? "-" : fmt_duration(result.cluster_makespans[ci]),
+         fmt(100.0 * util, 1)});
+  }
+  table.print(std::cout);
+  if (result.transfer_mb > 0.0) {
     std::cout << "\ndata moved: " << fmt(result.transfer_mb, 0) << " MB";
     if (result.deadline_misses > 0)
       std::cout << " (" << result.deadline_misses
                 << " transfer(s) missed the deadline)";
+  }
+  if (result.makespan >= fault::kUnavailableTime)
+    std::cout << "\ncampaign makespan: unavailable (some placed work can "
+                 "never complete under this failure model)\n";
+  else
     std::cout << "\ncampaign makespan: " << fmt_duration(result.makespan)
               << "\n";
-    return;
-  }
-
-  if (const long long timeout_ms = args.get_int("step-timeout");
-      timeout_ms > 0) {
-    const auto result = client.submit_with_deadline(
-        ensemble, heuristic, std::chrono::milliseconds(timeout_ms));
-    std::cout << result.responsive.size() << " cluster(s) answered, "
-              << result.unresponsive.size() << " dropped after the "
-              << timeout_ms << " ms step deadline\n";
-    std::cout << "campaign makespan: "
-              << fmt_duration(result.campaign.makespan) << "\n";
-    return;
-  }
-
-  const middleware::CampaignResult result = client.submit(ensemble, heuristic);
-
-  TableWriter table(
-      {"cluster", "procs", "scenarios", "makespan", "human", "util %"});
-  for (ClusterId c = 0; c < grid.cluster_count(); ++c) {
-    Seconds ms = 0;
-    double util = 0;
-    for (const auto& exec : result.executions)
-      if (exec.cluster == c) {
-        ms = exec.makespan;
-        util = exec.group_utilization;
-      }
-    table.add_row(
-        {grid.cluster(c).name(), std::to_string(grid.cluster(c).resources()),
-         std::to_string(
-             result.repartition.dags_per_cluster[static_cast<std::size_t>(c)]),
-         fmt(ms, 0), fmt_duration(ms), fmt(100.0 * util, 1)});
-  }
-  table.print(std::cout);
-  std::cout << "\ncampaign makespan: " << fmt_duration(result.makespan) << "\n";
+  if (faults.active()) print_fault_stats(result.fault);
 }
 
 int cmd_schedule(const std::vector<std::string>& argv) {
@@ -403,10 +413,6 @@ int cmd_simulate(const std::vector<std::string>& argv) {
   const appmodel::Ensemble ensemble{args.get_int("scenarios"),
                                     args.get_int("months")};
   if (const long long clusters = args.get_int("clusters"); clusters > 1) {
-    if (args.flag("failures"))
-      throw std::invalid_argument(
-          "--failures with --clusters N>1 is not supported here; use "
-          "`oagrid_cli grid --failures` for whole-grid failure injection");
     const platform::Grid grid =
         platform::make_builtin_grid(
             static_cast<ProcCount>(args.get_int("resources")))
@@ -453,22 +459,13 @@ int cmd_simulate(const std::vector<std::string>& argv) {
     options.obs_trace = &obs::trace_buffer();
     options.obs_label = cluster.name();
   }
-  const auto failure_model = fault_model_from(args, 1);
-  if (failure_model) {
-    options.fault.model = &*failure_model;
-    options.fault.cluster = 0;
-    options.fault.recovery = fault::recovery_policy_from(args.get("recovery"));
-    // One scenario advances at 1/NS of the cluster's best throughput; that
-    // wall time per month is what Young/Daly weighs the checkpoint against.
-    const Seconds month_seconds =
-        static_cast<double>(ensemble.scenarios) /
-        sched::best_throughput(cluster, ensemble.scenarios);
-    options.fault.checkpoint_months = checkpoint_cadence_from(
-        args, *failure_model, month_seconds, static_cast<MonthIndex>(ensemble.months),
-        options.restart_handoff);
-    options.fault.migrate_staging = options.restart_handoff;
+  const sim::GridFaultOptions faults =
+      fault_options_from(args, 1, cluster, ensemble, options.restart_handoff);
+  if (args.flag("failures")) {
+    options.fault = {&faults.model, 0, faults.recovery,
+                     faults.checkpoint_months, options.restart_handoff};
     std::cout << "failure injection: recovery=" << args.get("recovery")
-              << ", checkpoint every " << options.fault.checkpoint_months
+              << ", checkpoint every " << faults.checkpoint_months
               << " month(s)\n";
   }
 
@@ -643,52 +640,6 @@ int cmd_grid(const std::vector<std::string>& argv) {
                                     args.get_int("months")};
   const auto heuristic = heuristic_from(args.get("heuristic"));
 
-  if (const auto failure_model = fault_model_from(args, grid.cluster_count())) {
-    // The middleware protocol is failure-oblivious; injection runs the same
-    // §5 flow in-process where the per-cluster DES can kill and rewind work.
-    const ClusterId home = static_cast<ClusterId>(args.get_int("home"));
-    sim::GridFaultOptions fault_options;
-    fault_options.model = *failure_model;
-    fault_options.recovery = fault::recovery_policy_from(args.get("recovery"));
-    const Seconds month_seconds =
-        static_cast<double>(ensemble.scenarios) /
-        sched::best_throughput(grid.cluster(home), ensemble.scenarios);
-    fault_options.checkpoint_months = checkpoint_cadence_from(
-        args, *failure_model, month_seconds, static_cast<MonthIndex>(ensemble.months), 0.0);
-    sim::GridNetworkOptions net_options;
-    if (const auto network = network_from(args, grid.cluster_count()))
-      net_options = sim::campaign_network_options(*network, ensemble, {}, home);
-    std::cout << "failure injection: recovery=" << args.get("recovery")
-              << ", checkpoint every " << fault_options.checkpoint_months
-              << " month(s)\n\n";
-    const sim::GridSimResult result = sim::simulate_grid(
-        grid, ensemble, heuristic, 1, net_options, fault_options);
-
-    TableWriter table({"cluster", "procs", "scenarios", "makespan", "human"});
-    for (ClusterId c = 0; c < grid.cluster_count(); ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      const Seconds ms = result.cluster_makespans[ci];
-      const bool unavailable = ms >= fault::kUnavailableTime;
-      table.add_row({grid.cluster(c).name(),
-                     std::to_string(grid.cluster(c).resources()),
-                     std::to_string(result.repartition.dags_per_cluster[ci]),
-                     unavailable ? "unavailable" : fmt(ms, 0),
-                     unavailable ? "-" : fmt_duration(ms)});
-    }
-    table.print(std::cout);
-    if (result.transfer_mb > 0.0)
-      std::cout << "\ndata moved: " << fmt(result.transfer_mb, 0) << " MB";
-    if (result.makespan >= fault::kUnavailableTime)
-      std::cout << "\ncampaign makespan: unavailable (some placed work can "
-                   "never complete under this failure model)\n";
-    else
-      std::cout << "\ncampaign makespan: " << fmt_duration(result.makespan)
-                << "\n";
-    print_fault_stats(result.fault);
-    obs_session.finish();
-    return 0;
-  }
-
   std::unique_ptr<middleware::Deployment> deployment;
   if (args.flag("hierarchy")) {
     auto tree = std::make_unique<middleware::HierarchicalAgent>(
@@ -735,23 +686,16 @@ int cmd_sweep(const std::vector<std::string>& argv) {
        r += args.get_int("step"))
     resource_grid.push_back(static_cast<ProcCount>(r));
   const int profile = static_cast<int>(args.get_int("profile"));
-  const auto failure_model = fault_model_from(args, 1);
-  if (failure_model && !resource_grid.empty()) {
-    sweep_options.fault.model = &*failure_model;
-    sweep_options.fault.cluster = 0;
-    sweep_options.fault.recovery =
-        fault::recovery_policy_from(args.get("recovery"));
-    // The automatic cadence is anchored on the smallest swept cluster (the
-    // slowest months, hence the most conservative checkpoint interval).
-    const auto anchor =
-        platform::make_builtin_cluster(profile, resource_grid.front());
-    const Seconds month_seconds =
-        static_cast<double>(ensemble.scenarios) /
-        sched::best_throughput(anchor, ensemble.scenarios);
-    sweep_options.fault.checkpoint_months = checkpoint_cadence_from(
-        args, *failure_model, month_seconds, static_cast<MonthIndex>(ensemble.months),
-        sweep_options.restart_handoff);
-    sweep_options.fault.migrate_staging = sweep_options.restart_handoff;
+  // The automatic cadence is anchored on the smallest swept cluster (the
+  // slowest months, hence the most conservative checkpoint interval).
+  sim::GridFaultOptions faults;
+  if (args.flag("failures") && !resource_grid.empty()) {
+    faults = fault_options_from(
+        args, 1, platform::make_builtin_cluster(profile, resource_grid.front()),
+        ensemble, sweep_options.restart_handoff);
+    sweep_options.fault = {&faults.model, 0, faults.recovery,
+                           faults.checkpoint_months,
+                           sweep_options.restart_handoff};
   }
 
   // One cell = four heuristics on one cluster size; cells are independent and
