@@ -210,12 +210,14 @@ void BM_ServiceRecovery(benchmark::State& state) {
 BENCHMARK(BM_ServiceRecovery);
 
 void BM_ServiceHighTenancy(benchmark::State& state) {
-  // Control-plane throughput at production tenancy: 5000 small campaigns
-  // from 16 owners funnel through admission, the lease planner and the
+  // Control-plane throughput at production tenancy: N small campaigns from
+  // 16 owners funnel through admission, the lease planner and the
   // dispatcher. No journal directory — this prices the in-memory decision
   // loop (the journal's batched cost is measured by BM_ServiceSharedRun and
-  // the durability tables).
-  constexpr std::size_t kCampaigns = 5000;
+  // the durability tables). Two sizes: the loop should be linear in N, so
+  // the per-campaign cost (1 / campaigns_per_second) must not diverge
+  // between them.
+  const auto kCampaigns = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kOwners = 16;
   std::vector<Tenant> load;
   load.reserve(kCampaigns);
@@ -251,7 +253,10 @@ void BM_ServiceHighTenancy(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kCampaigns));
 }
-BENCHMARK(BM_ServiceHighTenancy)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServiceHighTenancy)
+    ->Arg(1000)
+    ->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FailureAwareEstimation(benchmark::State& state) {
   // The FailureAwareEstimator decorator on the analytic backend: the

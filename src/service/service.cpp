@@ -181,12 +181,7 @@ void CampaignService::process_submission(const PendingEvent& event) {
     }
     return;
   }
-  const double priority = options_.policy == QueuePolicy::kFifo
-                              ? 0.0
-                              : admission_priority(event.campaign);
-  const bool enqueued = queue_.try_enqueue(event.campaign, priority);
-  OAGRID_REQUIRE(enqueued, "enqueue failed on a non-full queue");
-  owner_queued_[state.spec.owner].insert(event.campaign);
+  enqueue(event.campaign);
   state.status = CampaignStatus::kQueued;
   if (obs::enabled() && !replaying_)
     obs::metrics().gauge("service.queue.depth")
@@ -378,13 +373,37 @@ double CampaignService::admission_priority(CampaignId id) {
   return 0.0;
 }
 
-void CampaignService::reprioritize_owner(const std::string& owner) {
+void CampaignService::enqueue(CampaignId id) {
+  // Under fair share, campaigns of one (owner, weight) always tie, so they
+  // share a priority class, named by the campaign that opened it.
+  std::optional<CampaignQueue::ClassKey> cls;
+  if (options_.policy == QueuePolicy::kWeightedFairShare) {
+    const CampaignSpec& spec = campaigns_.at(id).spec;
+    cls = owner_classes_[spec.owner].try_emplace(spec.weight, id).first->second;
+  }
+  const bool enqueued = queue_.try_enqueue(id, admission_priority(id), cls);
+  OAGRID_REQUIRE(enqueued, "enqueue failed on a non-full queue");
+}
+
+void CampaignService::dequeue(CampaignId id) {
+  queue_.remove(id);
   if (options_.policy != QueuePolicy::kWeightedFairShare) return;
-  const auto it = owner_queued_.find(owner);
-  if (it == owner_queued_.end()) return;
-  for (const CampaignId id : it->second)
-    queue_.update_priority(
-        id, owner_consumed_[owner] / campaigns_.at(id).spec.weight);
+  const CampaignSpec& spec = campaigns_.at(id).spec;
+  const auto owner = owner_classes_.find(spec.owner);
+  const auto cls = owner->second.find(spec.weight);
+  if (queue_.has_class(cls->second)) return;
+  owner->second.erase(cls);
+  if (owner->second.empty()) owner_classes_.erase(owner);
+}
+
+void CampaignService::reprioritize_owner(const std::string& owner) {
+  // Only fair share fills owner_classes_: one re-key per distinct weight
+  // among the owner's queued campaigns.
+  const auto it = owner_classes_.find(owner);
+  if (it == owner_classes_.end()) return;
+  const double consumed = owner_consumed_.at(owner);
+  for (const auto& [weight, cls] : it->second)
+    queue_.update_priority(cls, consumed / weight);
 }
 
 std::vector<LeaseClaim> CampaignService::incumbent_claims() const {
@@ -475,9 +494,8 @@ bool CampaignService::admissible_now() {
 }
 
 void CampaignService::admit(CampaignId id) {
-  queue_.remove(id);
+  dequeue(id);
   CampaignState& state = campaigns_.at(id);
-  owner_queued_[state.spec.owner].erase(id);
   const Count scenarios = state.spec.scenarios;
 
   // Pass 1: plan with the newcomer claiming everywhere, plus a guaranteed
@@ -963,8 +981,9 @@ std::string CampaignService::encode_state() const {
     for (const ClusterId c : state.assignment) put(out, c);
   }
 
-  put(out, static_cast<std::uint32_t>(queue_.queued().size()));
-  for (const CampaignId id : queue_.queued()) put(out, id);
+  const std::vector<CampaignId> queued = queue_.queued();
+  put(out, static_cast<std::uint32_t>(queued.size()));
+  for (const CampaignId id : queued) put(out, id);
 
   put(out, static_cast<std::uint32_t>(allotments_.size()));
   for (const auto& [key, allotment] : allotments_) {
@@ -1048,10 +1067,10 @@ void CampaignService::decode_state(const std::string& payload) {
   }
 
   const auto n_queued = in.get<std::uint32_t>();
-  for (std::uint32_t i = 0; i < n_queued; ++i) {
-    const bool ok = queue_.try_enqueue(in.get<CampaignId>());
-    OAGRID_REQUIRE(ok, "snapshot queue exceeds the configured capacity");
-  }
+  OAGRID_REQUIRE(n_queued <= queue_.capacity(),
+                 "snapshot queue exceeds the configured capacity");
+  std::vector<CampaignId> queued(n_queued);
+  for (CampaignId& id : queued) id = in.get<CampaignId>();
 
   const auto n_allotments = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_allotments; ++i) {
@@ -1108,14 +1127,10 @@ void CampaignService::decode_state(const std::string& payload) {
   }
   OAGRID_REQUIRE(in.exhausted(), "trailing bytes in snapshot payload");
 
-  // The queue section was decoded before owner_consumed_, so enqueue-time
-  // priorities were keyed off empty accounting; re-key now that the full
-  // state is in, and rebuild the per-owner fan-out sets.
-  for (const CampaignId id : queue_.queued()) {
-    owner_queued_[campaigns_.at(id).spec.owner].insert(id);
-    if (options_.policy != QueuePolicy::kFifo)
-      queue_.update_priority(id, admission_priority(id));
-  }
+  // The queue section precedes owner_consumed_ in the payload, so the queue
+  // and its priority classes are rebuilt (in submission order) only now
+  // that the priorities' inputs are in.
+  for (const CampaignId id : queued) enqueue(id);
   mark_claims_dirty();
 }
 

@@ -209,6 +209,8 @@ class CampaignService {
   [[nodiscard]] const std::vector<Lease>& current_plan();
   [[nodiscard]] bool admissible_now();
   void mark_claims_dirty() noexcept;
+  void enqueue(CampaignId id);
+  void dequeue(CampaignId id);
   void reprioritize_owner(const std::string& owner);
   [[nodiscard]] double admission_priority(CampaignId id);
   void apply_plan(const std::vector<Lease>& plan);
@@ -261,8 +263,10 @@ class CampaignService {
   std::vector<std::set<CampaignId>> cluster_members_;
   /// Allotments whose dispatch inputs changed since the last dispatch().
   std::set<AllotmentKey> dispatch_dirty_;
-  /// Queued campaigns per owner (fair-share re-keying fan-out).
-  std::map<std::string, std::set<CampaignId>> owner_queued_;
+  /// Fair share: per owner, the queue's priority class for each weight with
+  /// queued campaigns (re-keyed together when the owner's share moves).
+  std::map<std::string, std::map<double, CampaignQueue::ClassKey>>
+      owner_classes_;
 
   bool claims_dirty_ = true;
   std::vector<LeaseClaim> claims_cache_;

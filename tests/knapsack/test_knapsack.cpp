@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -134,6 +135,12 @@ struct SweepCase {
   int capacity;
   Count max_items;
 };
+
+// Without this gtest prints the struct as raw bytes, padding included, and
+// ctest names its tests after that print — names that change build to build.
+void PrintTo(const SweepCase& sweep, std::ostream* os) {
+  *os << "R" << sweep.capacity << "_max" << sweep.max_items;
+}
 
 class KnapsackSolverAgreement : public ::testing::TestWithParam<SweepCase> {};
 

@@ -200,6 +200,38 @@ TEST(Incremental, EstimatorThreadCountNeverChangesTheOutcome) {
   }
 }
 
+// A long fair-share lifetime whose owners repeat a few weights, so the
+// admission index holds multi-member (owner, weight) classes that are
+// re-keyed, drained and reopened thousands of times. The cross-check
+// compares every admission pick against the full stable sort.
+TEST(Incremental, CrossCheckHoldsOverALongFairShareLifetime) {
+  constexpr std::size_t kCampaigns = 2000;
+  constexpr std::size_t kOwners = 8;
+  ServiceOptions options;
+  options.policy = QueuePolicy::kWeightedFairShare;
+  options.max_active = 4;
+  options.queue_capacity = kCampaigns;
+  options.verify_incremental = true;
+  CampaignService service(test_grid(), std::move(options));
+  for (std::size_t i = 0; i < kCampaigns; ++i) {
+    CampaignSpec spec;
+    spec.owner = "owner" + std::to_string(i % kOwners);
+    spec.weight = 1.0 + static_cast<double>((i / kOwners) % 3);
+    spec.scenarios = 1 + static_cast<Count>(i % 2);
+    spec.months = 1 + static_cast<Count>((i / 3) % 3);
+    (void)service.submit(spec, static_cast<Seconds>(i) * 60.0);
+  }
+  ASSERT_TRUE(service.run());
+  std::size_t waited = 0;
+  for (const CampaignId id : service.campaign_ids()) {
+    const CampaignState& state = service.campaign(id);
+    ASSERT_EQ(state.status, CampaignStatus::kCompleted) << "campaign " << id;
+    if (state.admit_time > state.submit_time) ++waited;
+  }
+  // The load must actually queue, or the index is never exercised.
+  EXPECT_GT(waited, kCampaigns / 2);
+}
+
 // Recovery must rebuild the incremental bookkeeping from a snapshot well
 // enough to survive the cross-check for the rest of the run.
 TEST(Incremental, CrossCheckSurvivesSnapshotRecovery) {
