@@ -19,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "platform/profiles.hpp"
 #include "sim/ensemble_sim.hpp"
+#include "sim/exporters.hpp"
 #include "sim/grid_sim.hpp"
 
 namespace {
@@ -76,8 +77,7 @@ bool check_obs_overhead() {
 
   std::vector<double> off_us, metrics_us, trace_us;
   sim::SimOptions traced;
-  traced.obs_trace = &obs::trace_buffer();
-  traced.obs_label = cluster.name();
+  traced.capture_trace = true;
   for (int round = 0; round < kRounds; ++round) {
     // Interleaved A/B/A so clock drift and cache state hit both sides alike.
     obs::set_enabled(false);
@@ -85,8 +85,9 @@ bool check_obs_overhead() {
     obs::set_enabled(true);
     metrics_us.push_back(timed_campaign_us(cluster, schedule, ensemble));
     const auto start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(
-        sim::simulate_ensemble(cluster, schedule, ensemble, traced));
+    sim::export_sim_timeline(
+        sim::simulate_ensemble(cluster, schedule, ensemble, traced).trace,
+        obs::trace_buffer(), 0, cluster.name());
     trace_us.push_back(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - start)
                            .count());

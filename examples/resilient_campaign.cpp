@@ -59,16 +59,16 @@ int main(int argc, char** argv) {
   // Progress streaming on a direct execution request (what a dashboard sees).
   std::cout << "Progress stream of a 3-scenario follow-up on "
             << grid.cluster(0).name() << ":\n";
-  middleware::Mailbox<middleware::SedResponse> reply;
   middleware::ExecuteRequest request;
   request.request_id = 99;
   request.scenarios = 3;
   request.months = months;
   request.progress_every = 3 * months / 5;
-  request.reply = &reply;
+  request.reply =
+      std::make_shared<middleware::Mailbox<middleware::SedResponse>>();
   agent.daemon(0).inbox().send(middleware::SedRequest{request});
   for (;;) {
-    const auto response = reply.receive();
+    const auto response = request.reply->receive();
     if (!response) break;
     if (const auto* progress =
             std::get_if<middleware::ProgressUpdate>(&*response)) {

@@ -103,8 +103,8 @@ Client::FaultTolerantResult Client::run(
   FaultTolerantResult result;
   CampaignResult& campaign = result.campaign;
   std::vector<ClusterId>& dropped = result.unresponsive;
-  Mailbox<SedResponse> reply;
-  instrument_reply(reply);
+  const ReplyChannel reply = std::make_shared<Mailbox<SedResponse>>();
+  instrument_reply(*reply);
 
   // Steps (1)-(3): broadcast the request, gather one performance vector per
   // cluster, whatever the arrival order.
@@ -113,11 +113,11 @@ Client::FaultTolerantResult Client::run(
     obs::Span step_span(obs::enabled() ? &obs::trace_buffer() : nullptr,
                         "steps 1-3: perf vectors", "middleware");
     const int expected = agent_.broadcast_perf_request(
-        {request_id, ensemble.scenarios, ensemble.months, heuristic, &reply});
+        {request_id, ensemble.scenarios, ensemble.months, heuristic, reply});
     std::vector<sched::PerformanceVector> performance(
         static_cast<std::size_t>(expected));
     for (PerfResponse& perf :
-         gather<PerfResponse>(reply, request_id, expected, timeout, 3))
+         gather<PerfResponse>(*reply, request_id, expected, timeout, 3))
       performance[static_cast<std::size_t>(perf.cluster)] =
           std::move(perf.performance);
     for (ClusterId c = 0; c < expected; ++c)
@@ -145,14 +145,14 @@ Client::FaultTolerantResult Client::run(
       request.scenarios = shares[c];
       request.months = ensemble.months;
       request.heuristic = heuristic;
-      request.reply = &reply;
+      request.reply = reply;
       request.fault = faults;
       request.migrate_staging = migrate_staging[c];
       agent_.send_execute(static_cast<ClusterId>(c), request);
       ++outstanding;
     }
     campaign.executions =
-        gather<ExecuteResponse>(reply, request_id, outstanding, timeout, 6);
+        gather<ExecuteResponse>(*reply, request_id, outstanding, timeout, 6);
     std::sort(campaign.executions.begin(), campaign.executions.end(),
               [](const ExecuteResponse& a, const ExecuteResponse& b) {
                 return a.cluster < b.cluster;

@@ -7,6 +7,7 @@
 /// return to the client; (4) the client computes the repartition; (5) the
 /// client sends execution requests; (6) clusters execute their share.
 
+#include <memory>
 #include <variant>
 
 #include "common/types.hpp"
@@ -55,6 +56,10 @@ struct ProgressUpdate {
 
 using SedResponse = std::variant<PerfResponse, ExecuteResponse, ProgressUpdate>;
 
+/// Where a daemon answers. Shared: a daemon dropped at a client deadline may
+/// answer after the client returned, into a mailbox that must still live.
+using ReplyChannel = std::shared_ptr<Mailbox<SedResponse>>;
+
 /// Step (1) request: "compute the time needed to execute from 1 to NS
 /// simulations".
 struct PerfRequest {
@@ -62,21 +67,20 @@ struct PerfRequest {
   Count scenarios = 0;  ///< NS
   Count months = 0;     ///< NM
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
-  Mailbox<SedResponse>* reply = nullptr;
+  ReplyChannel reply;
 };
 
 /// Step (5) request: execute `scenarios` simulations. Setting
 /// `progress_every` > 0 asks for a ProgressUpdate on `reply` each time that
-/// many main tasks complete. The failure description travels by value: a
-/// daemon dropped at a client deadline may still be running after the
-/// client returned.
+/// many main tasks complete. Everything travels by value for the same
+/// reason as the reply channel: the daemon may outlive the client's wait.
 struct ExecuteRequest {
   int request_id = 0;
   Count scenarios = 0;
   Count months = 0;
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
   Count progress_every = 0;
-  Mailbox<SedResponse>* reply = nullptr;
+  ReplyChannel reply;
   /// Failures injected into the run (inactive by default).
   sim::GridFaultOptions fault;
   /// Price of re-staging one migrated scenario on this cluster.

@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 #include "obs/obs.hpp"
+#include "sim/exporters.hpp"
 #include "sim/grid_sim.hpp"
 #include "sim/perf_vector.hpp"
 
@@ -105,11 +106,7 @@ void ServerDaemon::handle(const ExecuteRequest& request) {
   if (request.scenarios > 0) {
     const appmodel::Ensemble ensemble{request.scenarios, request.months};
     sim::SimOptions options;
-    if (obs::enabled()) {
-      options.obs_trace = &obs::trace_buffer();
-      options.obs_track_base = id_ * kSimTrackStride;
-      options.obs_label = cluster_.name();
-    }
+    options.capture_trace = obs::enabled();
     if (request.progress_every > 0 && request.reply != nullptr) {
       options.progress_every = request.progress_every;
       options.on_progress = [this, &request,
@@ -132,10 +129,13 @@ void ServerDaemon::handle(const ExecuteRequest& request) {
     response.mains_executed = result.mains_executed;
     response.posts_executed = result.posts_executed;
     response.group_utilization = result.group_utilization;
-    if (obs::enabled())
+    if (obs::enabled()) {
+      sim::export_sim_timeline(result.trace, obs::trace_buffer(),
+                               id_ * kSimTrackStride, cluster_.name());
       obs::metrics()
           .gauge("sim.cluster." + cluster_.name() + ".utilization")
           .set(result.group_utilization);
+    }
   }
   if (request.reply) request.reply->send(SedResponse{std::move(response)});
 }

@@ -1,5 +1,6 @@
 #include "obs/exporters.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -11,18 +12,15 @@ namespace oagrid::obs {
 
 namespace {
 
-/// Shortest round-trip-ish representation without locale surprises:
-/// integers print bare, everything else with up to 6 significant decimals.
+/// Exact, locale-free representation: the shortest decimal that parses back
+/// to the same double (a trace timestamp must keep every bit to stay ordered
+/// against its neighbours), without an exponent below 1e15.
 std::string fmt_number(double value) {
   if (!std::isfinite(value)) return "0";
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", value);
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  return buf;
+  char buf[400];  // fixed notation of the smallest subnormal fits
+  const auto format = std::abs(value) < 1e15 ? std::chars_format::fixed
+                                             : std::chars_format::general;
+  return {buf, std::to_chars(buf, buf + sizeof buf, value, format).ptr};
 }
 
 std::string sanitize_prometheus(const std::string& name) {

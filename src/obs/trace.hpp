@@ -8,9 +8,9 @@
 /// two process groups:
 ///  * kWallPid  — real microseconds since process start (middleware
 ///    threads, scheduler timing, benches);
-///  * kSimPid   — simulated time from the DES, recorded via
-///    emit_complete() with explicit timestamps (one trace "microsecond"
-///    equals one simulated second, so a 10-day campaign stays readable).
+///  * kSimPid   — simulated time, a DES run's sim::Trace exported after
+///    the run with explicit timestamps (one trace "microsecond" equals one
+///    simulated second, so a 10-day campaign stays readable).
 ///
 /// The buffer is bounded: once `capacity` events are stored, further events
 /// are counted in dropped() and discarded — instrumentation must never OOM

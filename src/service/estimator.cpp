@@ -65,16 +65,16 @@ sched::PerformanceVector MiddlewareEstimator::vector(
       it != deployed_.end() ? it->second : agent_->deploy(cluster);
   if (it == deployed_.end()) deployed_.emplace(key, sed);
 
-  middleware::Mailbox<middleware::SedResponse> reply;
   middleware::PerfRequest request;
   request.request_id = next_request_id_++;
   request.scenarios = scenarios;
   request.months = months;
   request.heuristic = heuristic;
-  request.reply = &reply;
+  request.reply =
+      std::make_shared<middleware::Mailbox<middleware::SedResponse>>();
   agent_->daemon(sed).inbox().send(middleware::SedRequest{request});
 
-  const auto response = reply.receive();
+  const auto response = request.reply->receive();
   if (!response)
     throw std::runtime_error("oagrid: estimation SeD closed its mailbox");
   const auto* perf = std::get_if<middleware::PerfResponse>(&*response);

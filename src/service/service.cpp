@@ -429,10 +429,6 @@ void CampaignService::mark_claims_dirty() noexcept {
 }
 
 const std::vector<LeaseClaim>& CampaignService::current_claims() {
-  if (!options_.incremental) {
-    claims_cache_ = incumbent_claims();
-    return claims_cache_;
-  }
   if (claims_dirty_) {
     // pinned_counts_ holds exactly the running campaigns, keyed ascending —
     // the same order incumbent_claims() derives by scanning every frontier.
@@ -458,7 +454,7 @@ const std::vector<LeaseClaim>& CampaignService::current_claims() {
 }
 
 const std::vector<Lease>& CampaignService::current_plan() {
-  if (options_.incremental && plan_valid_) {
+  if (plan_valid_) {
     if (options_.verify_incremental &&
         !(plan_cache_ == leases_.plan(current_claims())))
       throw std::runtime_error(
@@ -472,12 +468,11 @@ const std::vector<Lease>& CampaignService::current_plan() {
     return plan_cache_;
   }
   plan_cache_ = leases_.plan(current_claims());
-  plan_valid_ = options_.incremental;
+  plan_valid_ = true;
   return plan_cache_;
 }
 
 bool CampaignService::admissible_now() {
-  if (!options_.incremental) return leases_.admissible(current_claims());
   bool open = false;
   for (ClusterId c = 0; c < grid_.cluster_count() && !open; ++c) {
     const platform::Cluster& cluster = grid_.cluster(c);
@@ -701,11 +696,6 @@ void CampaignService::apply_reconfigure(ClusterId cluster) {
 }
 
 void CampaignService::dispatch() {
-  if (!options_.incremental) {
-    for (auto& [key, allotment] : allotments_) dispatch_key(key, allotment);
-    dispatch_dirty_.clear();
-    return;
-  }
   if (options_.verify_incremental) {
     // Full scan, asserting the dirty set covered every allotment that had
     // work to start: a start on a clean key means the incremental marking

@@ -80,14 +80,10 @@ struct ServiceOptions {
   /// baseline; the CLI turns it on.
   bool group_commit = false;
 
-  /// Incremental control-plane bookkeeping: lease claims, the max-min plan,
-  /// cluster admissibility and the dispatch scan are only recomputed when
-  /// the inputs they depend on changed. Exact — results are identical to
-  /// full recomputation; switchable for A/B measurement.
-  bool incremental = true;
-
-  /// Debug cross-check: every incremental result (claims, plan, admission
-  /// order, dispatch coverage) is compared against a full recompute; any
+  /// Debug cross-check of the incremental control-plane bookkeeping (lease
+  /// claims, the max-min plan, cluster admissibility and the dispatch scan
+  /// are only recomputed when their inputs changed): every cached result,
+  /// and every admission pick, is compared against a full recompute; any
   /// divergence throws. Slow — for tests.
   bool verify_incremental = false;
 
@@ -249,8 +245,8 @@ class CampaignService {
   std::map<std::string, double> owner_consumed_;  ///< weighted fair share
   std::map<CampaignId, double> srmf_estimate_;    ///< cached policy input
 
-  // Incremental control-plane bookkeeping. Maintained on every transition
-  // (cheap); the caches below are consulted only when options_.incremental.
+  // Incremental control-plane bookkeeping, maintained on every transition;
+  // the full recompute survives only as the verify_incremental oracle.
   int active_count_ = 0;  ///< campaigns in kRunning
   /// Per running campaign: unfinished scenarios pinned to each cluster —
   /// exactly the inputs incumbent_claims() derives by scanning frontiers.

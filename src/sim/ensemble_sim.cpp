@@ -19,15 +19,15 @@ struct Group {
   bool busy = false;
   bool retired = false;
   Seconds busy_seconds = 0.0;
+  Seconds current_start = 0.0;    ///< in-flight main task bounds (busy only)
+  Seconds current_end = 0.0;
+  ScenarioId current_scenario = 0;
+  MonthIndex current_month = 0;
   // Failure-injection state; untouched (and behavior-neutral) without an
   // active FaultOptions.
   bool down = false;              ///< node set currently unavailable
   std::uint32_t epoch = 0;        ///< bumped per outage; stales kMainDone
   Seconds pending_repair = 0.0;   ///< duration of the scheduled next outage
-  Seconds current_start = 0.0;    ///< in-flight main task bounds (busy only)
-  Seconds current_end = 0.0;
-  ScenarioId current_scenario = 0;
-  MonthIndex current_month = 0;
 };
 
 struct Scenario {
@@ -127,16 +127,9 @@ class EnsembleSimulation {
     for (ProcCount w = 0; w < schedule_.post_pool; ++w)
       free_workers_.push(next_worker_id_++);
     posts_enabled_ = schedule_.post_policy == sched::PostPolicy::kPoolThenRetired;
-    if (options_.capture_trace)
+    if (options_.capture_trace) {
       result_.trace.reserve(2 * static_cast<std::size_t>(total_months_));
-    if (options_.obs_trace != nullptr) {
-      const std::string prefix =
-          options_.obs_label.empty() ? "" : options_.obs_label + " ";
-      for (std::size_t g = 0; g < groups_.size(); ++g)
-        options_.obs_trace->set_track_name(
-            obs::kSimPid, options_.obs_track_base + static_cast<int>(g),
-            prefix + "group " + std::to_string(g) + " (" +
-                std::to_string(groups_[g].size) + "p)");
+      result_.trace.group_sizes = schedule_.group_sizes;
     }
   }
 
@@ -150,6 +143,8 @@ class EnsembleSimulation {
       // a t=0 outage beats a t=0 dispatch.
       outage_streams_.reserve(groups_.size());
       done_costs_.resize(static_cast<std::size_t>(scenario_count()));
+      if (options_.capture_trace)
+        done_entries_.resize(static_cast<std::size_t>(scenario_count()));
       for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
         outage_streams_.emplace_back(*options_.fault.model,
                                      options_.fault.cluster, g);
@@ -313,46 +308,32 @@ class EnsembleSimulation {
 
   /// Pairs available scenarios with idle groups until neither remains.
   void dispatch_mains() {
-    if (fault_active_) {
-      // Pinned scenarios (wait-for-repair) resume on their own group before
-      // the shared pool is served; keep alternating until a full round makes
-      // no progress.
-      bool progress = true;
-      while (progress) {
-        progress = false;
-        for (ScenarioId s = 0; s < scenario_count(); ++s) {
-          Scenario& sc = scenarios_[static_cast<std::size_t>(s)];
-          if (sc.pinned_group < 0 || sc.running) continue;
-          if (sc.months_dispatched >=
-              months_limit_[static_cast<std::size_t>(s)]) {
-            sc.pinned_group = -1;
-            continue;
-          }
-          const int g = sc.pinned_group;
-          const Group& group = groups_[static_cast<std::size_t>(g)];
-          if (group.busy || group.retired || group.down) continue;
-          sc.pinned_group = -1;  // the pin covers one resumption, not forever
-          start_main(g, s);
-          progress = true;
+    // Pinned scenarios (wait-for-repair, so only under fault injection)
+    // resume on their own group before the shared pool is served; keep
+    // alternating until a full round makes no progress.
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (ScenarioId s = 0; fault_active_ && s < scenario_count(); ++s) {
+        Scenario& sc = scenarios_[static_cast<std::size_t>(s)];
+        if (sc.pinned_group < 0 || sc.running) continue;
+        if (sc.months_dispatched >=
+            months_limit_[static_cast<std::size_t>(s)]) {
+          sc.pinned_group = -1;
+          continue;
         }
-        const int g = pick_idle_group();
-        if (g >= 0) {
-          const ScenarioId s = pick_scenario();
-          if (s >= 0) {
-            start_main(g, s);
-            progress = true;
-          }
-        }
+        const int g = sc.pinned_group;
+        const Group& group = groups_[static_cast<std::size_t>(g)];
+        if (group.busy || group.retired || group.down) continue;
+        sc.pinned_group = -1;  // the pin covers one resumption, not forever
+        start_main(g, s);
+        progress = true;
       }
-      maybe_retire_idle_groups();
-      return;
-    }
-    for (;;) {
       const int g = pick_idle_group();
-      if (g < 0) break;
-      const ScenarioId s = pick_scenario();
-      if (s < 0) break;
-      start_main(g, s);
+      const ScenarioId s = g >= 0 ? pick_scenario() : -1;
+      if (s >= 0) {
+        start_main(g, s);
+        progress = true;
+      }
     }
     maybe_retire_idle_groups();
   }
@@ -386,27 +367,15 @@ class EnsembleSimulation {
         options_.perturbation.failure_probability > 0.0 &&
         rng_.uniform() < options_.perturbation.failure_probability;
     group.busy_seconds += duration;
-    const Seconds start = calendar_.now();
-    const Seconds end = start + duration;
-    // Failed attempts occupy the group but are not recorded: the trace
-    // documents successful executions (its invariants assume uniqueness).
-    // Under fault injection the projected end may never happen (the month
-    // can be killed), so recording moves to finish_main.
-    if (options_.capture_trace && !fails && !fault_active_)
-      result_.trace.record(
-          TraceEntry{UnitKind::kGroup, g, s, month, start, end});
-    if (options_.obs_trace != nullptr)
-      emit_sim_event("s" + std::to_string(s) + " m" + std::to_string(month),
-                     fails ? "retry" : "main", options_.obs_track_base + g,
-                     start, end);
-    if (fault_active_) {
-      group.current_start = start;
-      group.current_end = end;
-      group.current_scenario = s;
-      group.current_month = month;
-    }
-    calendar_.schedule(end, SimEvent{SimEvent::Kind::kMainDone, fails, g, s,
-                                     month, group.epoch});
+    // Nothing is recorded yet: the projected end may never happen (an
+    // outage can kill the month), so the trace entry waits for the outcome.
+    group.current_start = calendar_.now();
+    group.current_end = group.current_start + duration;
+    group.current_scenario = s;
+    group.current_month = month;
+    calendar_.schedule(group.current_end,
+                       SimEvent{SimEvent::Kind::kMainDone, fails, g, s, month,
+                                group.epoch});
   }
 
   void finish_main(int g, ScenarioId s, MonthIndex month, bool failed,
@@ -419,6 +388,11 @@ class EnsembleSimulation {
     if (fault_active_ && epoch != group.epoch) return;
     group.busy = false;
     scenario.running = false;
+    const std::size_t entry = result_.trace.entries().size();
+    if (options_.capture_trace)
+      result_.trace.record(
+          TraceEntry{UnitKind::kGroup, g, s, month, group.current_start,
+                     calendar_.now(), failed ? Outcome::kRetry : Outcome::kDone});
 
     if (failed) {
       // The month's output is lost; roll the dispatch state back so the
@@ -433,14 +407,12 @@ class EnsembleSimulation {
       result_.main_phase_end =
           std::max(result_.main_phase_end, calendar_.now());
       if (fault_active_) {
-        // Remember what the month cost so a later rewind can account the
-        // thrown-away work exactly, and record the actual execution window.
+        // Remember what the month cost, and where it was recorded, so a
+        // later rewind can account the thrown-away work exactly.
         done_costs_[static_cast<std::size_t>(s)].push_back(
             calendar_.now() - group.current_start);
         if (options_.capture_trace)
-          result_.trace.record(TraceEntry{UnitKind::kGroup, g, s, month,
-                                          group.current_start,
-                                          calendar_.now()});
+          done_entries_[static_cast<std::size_t>(s)].push_back(entry);
       }
       post_queue_.push(PostTask{s, month});
       if (options_.progress_every > 0 && options_.on_progress &&
@@ -491,13 +463,10 @@ class EnsembleSimulation {
       const int worker = free_workers_.pop();
       const Seconds start = calendar_.now();
       const Seconds end = start + jittered(cluster_.post_time());
+      // A post always completes, so it is recorded at dispatch.
       if (options_.capture_trace)
         result_.trace.record(TraceEntry{UnitKind::kPostWorker, worker,
                                         post.scenario, post.month, start, end});
-      if (options_.obs_trace != nullptr)
-        emit_sim_event("post s" + std::to_string(post.scenario) + " m" +
-                           std::to_string(post.month),
-                       "post", post_track(worker), start, end);
       calendar_.schedule(
           end, SimEvent{SimEvent::Kind::kPostDone, false, worker, 0, 0});
     }
@@ -563,6 +532,10 @@ class EnsembleSimulation {
     const ScenarioId s = group.current_scenario;
     Scenario& scenario = scenarios_[static_cast<std::size_t>(s)];
     const Seconds now = calendar_.now();
+    if (options_.capture_trace)
+      result_.trace.record(TraceEntry{UnitKind::kGroup, g, s,
+                                      group.current_month, group.current_start,
+                                      now, Outcome::kKilled});
     ++result_.fault.kills;
     result_.fault.lost_seconds += now - group.current_start;
     // The start charged the whole projected duration; give back the part
@@ -589,6 +562,11 @@ class EnsembleSimulation {
       for (MonthIndex i = 0; i < rewound; ++i) {
         result_.fault.lost_seconds += costs.back();
         costs.pop_back();
+        if (options_.capture_trace) {
+          auto& entries = done_entries_[static_cast<std::size_t>(s)];
+          result_.trace.set_outcome(entries.back(), Outcome::kRewound);
+          entries.pop_back();
+        }
       }
       scenario.months_done = keep;
       months_done_total_ -= rewound;
@@ -606,41 +584,6 @@ class EnsembleSimulation {
         scenario.needs_staging = true;
         break;
     }
-    if (options_.obs_trace != nullptr)
-      emit_sim_event("s" + std::to_string(s) + " m" +
-                         std::to_string(group.current_month),
-                     "killed", options_.obs_track_base + g,
-                     group.current_start, now);
-  }
-
-  /// Simulated-time trace event: 1 trace microsecond per simulated second.
-  void emit_sim_event(std::string name, const char* category, int track,
-                      Seconds start, Seconds end) {
-    obs::TraceEvent event;
-    event.name = std::move(name);
-    event.category = category;
-    event.pid = obs::kSimPid;
-    event.track = track;
-    event.ts_us = start;
-    event.dur_us = end - start;
-    options_.obs_trace->emit_complete(std::move(event));
-  }
-
-  /// Post workers live on tracks above the group band; each track is named
-  /// on first use.
-  int post_track(int worker) {
-    const int track = options_.obs_track_base +
-                      static_cast<int>(groups_.size()) + worker;
-    if (static_cast<std::size_t>(worker) >= post_track_named_.size())
-      post_track_named_.resize(static_cast<std::size_t>(worker) + 1, false);
-    if (!post_track_named_[static_cast<std::size_t>(worker)]) {
-      post_track_named_[static_cast<std::size_t>(worker)] = true;
-      const std::string prefix =
-          options_.obs_label.empty() ? "" : options_.obs_label + " ";
-      options_.obs_trace->set_track_name(
-          obs::kSimPid, track, prefix + "post worker " + std::to_string(worker));
-    }
-    return track;
   }
 
   const platform::Cluster& cluster_;
@@ -665,13 +608,15 @@ class EnsembleSimulation {
   /// on rewind for exact lost-work accounting. Maintained only under fault
   /// injection.
   std::vector<std::vector<Seconds>> done_costs_;
+  /// The trace entries of those months, popped alongside to re-mark them
+  /// rewound. Maintained only under fault injection with capture_trace.
+  std::vector<std::vector<std::size_t>> done_entries_;
 
   FlatQueue<PostTask> post_queue_;
   FlatQueue<int> free_workers_;
   int next_worker_id_ = 0;
   bool posts_enabled_ = false;
   Seconds last_post_end_ = 0.0;
-  std::vector<bool> post_track_named_;
 
   SimResult result_;
 };

@@ -16,11 +16,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "appmodel/ensemble.hpp"
 #include "fault/failure.hpp"
-#include "obs/trace.hpp"
 #include "platform/cluster.hpp"
 #include "sched/group_schedule.hpp"
 #include "sched/heuristics.hpp"
@@ -80,6 +78,11 @@ struct FaultOptions {
 };
 
 struct SimOptions {
+  /// Records every execution into SimResult::trace, the run's one record
+  /// stream (its Chrome slices come from sim::export_sim_timeline).
+  /// Aggregate counters/histograms flow into obs::metrics() after every run
+  /// whenever obs::enabled(), trace or not — that path costs nothing per
+  /// event.
   bool capture_trace = false;
   DispatchRule dispatch = DispatchRule::kLeastAdvanced;
   PerturbationModel perturbation;  ///< inactive by default (exact durations)
@@ -99,20 +102,12 @@ struct SimOptions {
   /// server daemons forward it as ProgressUpdate messages).
   Count progress_every = 0;
   std::function<void(Count, Seconds)> on_progress;
-
-  /// Observability sink for simulated-time task events (obs::kSimPid, one
-  /// trace microsecond per simulated second). Null -> no events. Aggregate
-  /// counters/histograms additionally flow into obs::metrics() after the
-  /// run whenever obs::enabled() — that path costs nothing per event.
-  obs::TraceBuffer* obs_trace = nullptr;
-  int obs_track_base = 0;     ///< first track id (grid runs band clusters)
-  std::string obs_label;      ///< track-name prefix, e.g. the cluster name
 };
 
 struct SimResult {
   Seconds makespan = 0.0;
   Seconds main_phase_end = 0.0;  ///< completion of the last main task
-  Count mains_executed = 0;  ///< successful main-task completions
+  Count mains_executed = 0;  ///< successful completions, later rewinds too
   Count posts_executed = 0;
   Count retries = 0;  ///< failed main executions that had to re-run
   std::size_t events = 0;

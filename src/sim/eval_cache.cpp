@@ -220,8 +220,8 @@ Seconds cached_makespan(const platform::Cluster& cluster,
                         const std::vector<MonthIndex>& months,
                         const SimOptions& options) {
   // Side-effecting requests must actually run: a hit would skip the trace /
-  // progress / obs events the caller asked for.
-  if (options.capture_trace || options.obs_trace != nullptr ||
+  // progress events the caller asked for.
+  if (options.capture_trace ||
       (options.progress_every > 0 && options.on_progress)) {
     return simulate_ensemble(cluster, schedule, months, options).makespan;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 
 namespace oagrid::sim {
@@ -30,6 +31,32 @@ std::string xml_escape(const std::string& text) {
 
 }  // namespace
 
+void export_sim_timeline(const Trace& trace, obs::TraceBuffer& buffer,
+                         int track_base, const std::string& label) {
+  const std::string prefix = label.empty() ? "" : label + " ";
+  const auto groups = static_cast<int>(trace.group_sizes.size());
+  for (int g = 0; g < groups; ++g)
+    buffer.set_track_name(
+        obs::kSimPid, track_base + g,
+        prefix + "group " + std::to_string(g) + " (" +
+            std::to_string(trace.group_sizes[static_cast<std::size_t>(g)]) +
+            "p)");
+  std::set<int> workers;
+  for (const TraceEntry& e : trace.entries()) {
+    const bool post = e.unit_kind == UnitKind::kPostWorker;
+    const int track = track_base + (post ? groups : 0) + e.unit;
+    if (post && workers.insert(e.unit).second)
+      buffer.set_track_name(obs::kSimPid, track,
+                            prefix + "post worker " + std::to_string(e.unit));
+    const char* category = to_string(e.outcome);
+    if (e.outcome == Outcome::kDone) category = post ? "post" : "main";
+    buffer.emit_complete({(post ? "post s" : "s") + std::to_string(e.scenario) +
+                              " m" + std::to_string(e.month),
+                          category, obs::kSimPid, track, e.start,
+                          e.end - e.start});
+  }
+}
+
 void write_svg_gantt(std::ostream& out, const Trace& trace,
                      const SvgOptions& options) {
   OAGRID_REQUIRE(!trace.empty(), "cannot render an empty trace");
@@ -40,6 +67,7 @@ void write_svg_gantt(std::ostream& out, const Trace& trace,
   // Stable row order: groups first then post workers, by unit index.
   std::map<std::pair<int, int>, int> row_of;
   for (const auto& e : trace.entries()) {
+    if (e.outcome != Outcome::kDone) continue;
     horizon = std::max(horizon, e.end);
     row_of.try_emplace({e.unit_kind == UnitKind::kGroup ? 0 : 1, e.unit}, 0);
   }
@@ -77,6 +105,7 @@ void write_svg_gantt(std::ostream& out, const Trace& trace,
            static_cast<double>(options.width) * (t / horizon);
   };
   for (const auto& e : trace.entries()) {
+    if (e.outcome != Outcome::kDone) continue;
     const int row = row_of.at({e.unit_kind == UnitKind::kGroup ? 0 : 1, e.unit});
     const double x = x_of(e.start);
     const double w = std::max(0.5, x_of(e.end) - x);

@@ -2,10 +2,11 @@
 /// \file trace.hpp
 /// \brief Execution traces and Gantt rendering.
 ///
-/// Every simulated task execution is recorded as a TraceEntry; the trace is
-/// the ground truth the tests check invariants on (no overlap on a unit,
-/// dependencies respected) and the source of the ASCII Gantt charts the
-/// Figure 3-6 bench prints.
+/// The simulator's one record stream: every task execution is recorded as a
+/// TraceEntry once its outcome is known. The trace is the ground truth the
+/// tests check invariants on (no overlap on a unit, dependencies respected)
+/// and the source of every view of a run: Gantt, CSV, SVG and the Chrome
+/// slices of sim/exporters.hpp.
 
 #include <iosfwd>
 #include <string>
@@ -21,6 +22,16 @@ enum class UnitKind {
   kPostWorker,  ///< a single processor running a post task
 };
 
+/// How an execution ended. Posts always complete (kDone).
+enum class Outcome {
+  kDone,     ///< completed; for a main, the month's output exists
+  kRetry,    ///< a main whose output was lost (perturbation failure)
+  kKilled,   ///< a main cut short by a node outage
+  kRewound,  ///< a completed main thrown away by a checkpoint rewind
+};
+
+[[nodiscard]] const char* to_string(Outcome outcome) noexcept;
+
 struct TraceEntry {
   UnitKind unit_kind = UnitKind::kGroup;
   int unit = 0;             ///< group index or post-worker index
@@ -28,11 +39,14 @@ struct TraceEntry {
   MonthIndex month = 0;
   Seconds start = 0.0;
   Seconds end = 0.0;
+  Outcome outcome = Outcome::kDone;
 };
 
 class Trace {
  public:
   void record(TraceEntry entry) { entries_.push_back(entry); }
+  /// Re-marks a recorded entry (a completed month later rewound).
+  void set_outcome(std::size_t i, Outcome o) { entries_[i].outcome = o; }
   /// Preallocates for `n` entries (the simulator knows the task count).
   void reserve(std::size_t n) { entries_.reserve(n); }
   [[nodiscard]] const std::vector<TraceEntry>& entries() const noexcept {
@@ -41,18 +55,26 @@ class Trace {
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   void clear() noexcept { entries_.clear(); }
 
+  /// Processors of each group that ran (index = group unit), set by the
+  /// simulator; the Chrome export names the group tracks with it.
+  std::vector<ProcCount> group_sizes;
+
   /// Checks structural invariants; returns an empty string when clean, else
   /// a description of the first violation:
-  ///  * no two entries on the same unit overlap in time;
-  ///  * each scenario's months execute in order (main m+1 starts after main
-  ///    m ends) and each post starts after its main ends.
+  ///  * no two entries on the same unit overlap in time (any outcome);
+  ///  * each (scenario, month) has at most one done main, and done months
+  ///    execute in order (main m+1 starts after main m ends);
+  ///  * the k-th post of a (scenario, month) starts after the k-th done or
+  ///    rewound main of it has ended (a rewound month is posted again).
   [[nodiscard]] std::string verify() const;
 
-  /// CSV export: unit_kind,unit,scenario,month,start,end.
+  /// CSV export: unit_kind,unit,scenario,month,start,end,outcome.
   void write_csv(std::ostream& os) const;
 
-  /// ASCII Gantt: one row per unit, time compressed to `width` columns.
-  /// Main tasks render as the scenario's hex digit, posts as lowercase.
+  /// ASCII Gantt of the done mains and the posts (the views skip retried,
+  /// killed and rewound mains): one row per unit, time compressed to
+  /// `width` columns. Main tasks render as the scenario's hex digit, posts
+  /// as lowercase.
   [[nodiscard]] std::string render_gantt(int width = 100) const;
 
  private:

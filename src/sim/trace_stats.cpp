@@ -17,6 +17,7 @@ TraceStats analyze_trace(const Trace& trace) {
   std::map<std::pair<ScenarioId, MonthIndex>, Seconds> post_start;
 
   for (const auto& e : trace.entries()) {
+    if (e.outcome != Outcome::kDone) continue;
     stats.makespan = std::max(stats.makespan, e.end);
     const int rank = e.unit_kind == UnitKind::kGroup ? 0 : 1;
     auto [it, inserted] = units.try_emplace({rank, e.unit});

@@ -34,8 +34,8 @@ struct TraceStats {
   Count posts_measured = 0;
 };
 
-/// Computes the statistics. Throws std::invalid_argument on an empty trace
-/// or one that fails Trace::verify().
+/// Computes the statistics over the done mains and the posts. Throws
+/// std::invalid_argument on an empty trace or one that fails Trace::verify().
 [[nodiscard]] TraceStats analyze_trace(const Trace& trace);
 
 }  // namespace oagrid::sim

@@ -2,11 +2,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -18,12 +21,14 @@
 #include "middleware/local_agent.hpp"
 #include "middleware/master_agent.hpp"
 #include "net/parser.hpp"
+#include "obs/exporters.hpp"
 #include "sched/lower_bounds.hpp"
 #include "sched/makespan_model.hpp"
 #include "sched/repartition.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
 #include "sim/eval_cache.hpp"
+#include "sim/exporters.hpp"
 #include "sim/grid_sim.hpp"
 
 namespace oagrid::testkit {
@@ -328,10 +333,21 @@ Verdict check_inactive_model_identity(const Case& world) {
 
 // --- failure injection conserves work ----------------------------------------
 
+/// One failure-injected run: the aggressive process below, or the case's
+/// own model on one cluster.
+using FaultCheck = Verdict (*)(const platform::Cluster&,
+                               const appmodel::Ensemble&, const Case&,
+                               const sim::FaultOptions&, bool aggressive);
+
+const char* fault_run_label(bool aggressive) {
+  return aggressive ? "aggressive exponential" : "generated model";
+}
+
 Verdict conservation_of(const platform::Cluster& cluster,
                         const appmodel::Ensemble& ensemble,
                         const Case& world, const sim::FaultOptions& fault,
-                        const char* label) {
+                        bool aggressive) {
+  const char* label = fault_run_label(aggressive);
   sim::SimOptions options;
   options.dispatch = world.dispatch;
   options.fault = fault;
@@ -359,7 +375,8 @@ Verdict conservation_of(const platform::Cluster& cluster,
   return std::nullopt;
 }
 
-Verdict check_fault_work_conservation(const Case& world) {
+/// Runs `check` over the failure-injected runs until one fails.
+Verdict for_each_fault_run(const Case& world, FaultCheck check) {
   // A purpose-built aggressive process on cluster 0: MTBF a couple of main
   // tasks, cadence 3, a horizon of at least 4 months — so rewinds (the
   // mutation smoke-check's target) fire within the default budget for
@@ -376,8 +393,7 @@ Verdict check_fault_work_conservation(const Case& world) {
   fault.cluster = 0;
   fault.recovery = fault::RecoveryPolicy::kRescheduleInCluster;
   fault.checkpoint_months = 3;
-  if (Verdict verdict = conservation_of(cluster, stretched, world, fault,
-                                        "aggressive exponential"))
+  if (Verdict verdict = check(cluster, stretched, world, fault, true))
     return verdict;
 
   // The case's own model, where it is active (weibull/outage coverage).
@@ -390,12 +406,122 @@ Verdict check_fault_work_conservation(const Case& world) {
     own.cluster = c;
     own.recovery = world.recovery;
     own.checkpoint_months = world.checkpoint_months;
-    if (Verdict verdict =
-            conservation_of(world.grid.cluster(c), world.ensemble, world, own,
-                            "generated model"))
+    if (Verdict verdict = check(world.grid.cluster(c), world.ensemble, world,
+                                own, false))
       return verdict;
   }
   return std::nullopt;
+}
+
+Verdict check_fault_work_conservation(const Case& world) {
+  return for_each_fault_run(world, conservation_of);
+}
+
+// --- the Chrome export of a faulty run is the verified trace -----------------
+
+struct ChromeSlice {
+  int pid = 0;
+  int tid = 0;
+  double ts = 0.0;
+  double dur = 0.0;
+};
+
+/// Reads the "X" events back out of write_chrome_trace output by field scan:
+/// the writer puts every event on its own line.
+std::vector<ChromeSlice> chrome_slices(const std::string& json) {
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find(key);
+    return at == std::string::npos
+               ? std::nan("")
+               : std::strtod(line.c_str() + at + key.size(), nullptr);
+  };
+  std::vector<ChromeSlice> slices;
+  std::istringstream in(json);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    slices.push_back({static_cast<int>(field(line, "\"pid\":")),
+                      static_cast<int>(field(line, "\"tid\":")),
+                      field(line, "\"ts\":"), field(line, "\"dur\":")});
+  }
+  return slices;
+}
+
+Verdict trace_export_of(const platform::Cluster& cluster,
+                        const appmodel::Ensemble& ensemble, const Case& world,
+                        const sim::FaultOptions& fault, bool aggressive) {
+  const char* label = fault_run_label(aggressive);
+  sim::SimOptions options;
+  options.capture_trace = true;
+  options.dispatch = world.dispatch;
+  options.fault = fault;
+  if (aggressive) {
+    // Retries on top of kills and rewinds: every outcome on one timeline.
+    options.perturbation.failure_probability = 0.1;
+    options.perturbation.seed = world.spec.seed;
+  }
+  const sched::GroupSchedule schedule =
+      sched::make_schedule(world.heuristic, cluster, ensemble);
+  const sim::SimResult result =
+      sim::simulate_ensemble(cluster, schedule, ensemble, options);
+  const sim::Trace& trace = result.trace;
+  if (const std::string issue = trace.verify(); !issue.empty())
+    return fail(label, ": trace invalid: ", issue);
+
+  std::map<sim::Outcome, Count> mains;
+  Count posts = 0;
+  for (const sim::TraceEntry& e : trace.entries())
+    ++(e.unit_kind == sim::UnitKind::kGroup ? mains[e.outcome] : posts);
+  const Count done = mains[sim::Outcome::kDone];
+  const Count rewound = mains[sim::Outcome::kRewound];
+  if (done + rewound != result.mains_executed ||
+      mains[sim::Outcome::kRetry] != result.retries ||
+      mains[sim::Outcome::kKilled] != result.fault.kills ||
+      rewound != result.fault.rewound_months || posts != result.posts_executed)
+    return fail(label, ": trace holds ", done, " done, ", rewound,
+                " rewound, ", mains[sim::Outcome::kRetry], " retried and ",
+                mains[sim::Outcome::kKilled], " killed mains and ", posts,
+                " posts; the run counted ", result.mains_executed, " mains, ",
+                result.fault.rewound_months, " rewound, ", result.retries,
+                " retries, ", result.fault.kills, " kills, ",
+                result.posts_executed, " posts");
+
+  obs::TraceBuffer buffer;
+  sim::export_sim_timeline(trace, buffer);
+  std::ostringstream json;
+  obs::write_chrome_trace(json, buffer);
+  const std::vector<ChromeSlice> slices = chrome_slices(json.str());
+  if (slices.size() != trace.entries().size())
+    return fail(label, ": ", slices.size(), " Chrome slices for ",
+                trace.entries().size(), " trace entries");
+  const auto groups = static_cast<int>(schedule.group_sizes.size());
+  std::map<std::pair<int, int>, std::vector<const ChromeSlice*>> tracks;
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    const sim::TraceEntry& e = trace.entries()[i];
+    const ChromeSlice& s = slices[i];
+    const int tid =
+        e.unit_kind == sim::UnitKind::kGroup ? e.unit : groups + e.unit;
+    if (s.pid != obs::kSimPid || s.tid != tid || s.ts != e.start ||
+        s.dur != e.end - e.start)
+      return fail(label, ": slice ", i, " (tid ", s.tid, ", ts ", s.ts,
+                  ", dur ", s.dur, ") does not read back as its entry (tid ",
+                  tid, ", start ", e.start, ", end ", e.end, ")");
+    tracks[{s.pid, s.tid}].push_back(&s);
+  }
+  for (auto& [track, list] : tracks) {
+    std::sort(list.begin(), list.end(),
+              [](const ChromeSlice* a, const ChromeSlice* b) {
+                return a->ts < b->ts;
+              });
+    for (std::size_t i = 1; i < list.size(); ++i)
+      if (list[i]->ts < list[i - 1]->ts + list[i - 1]->dur - 1e-9)
+        return fail(label, ": Chrome slices overlap on tid ", track.second,
+                    " at ts ", list[i]->ts);
+  }
+  return std::nullopt;
+}
+
+Verdict check_trace_export_verifies(const Case& world) {
+  return for_each_fault_run(world, trace_export_of);
 }
 
 // --- repartition: greedy, charged-greedy and brute force agree ---------------
@@ -583,25 +709,23 @@ Verdict check_crash_recovery(const Case& world) {
 }
 
 /// Incremental bookkeeping is an optimization, never a behavior change: a
-/// full-recompute service and an incremental one (with the paranoid
-/// cross-check armed) drain to the same state signature.
+/// plain service and one that cross-checks every cached answer against a
+/// full recompute (throwing on any divergence) drain to the same state
+/// signature.
 Verdict check_service_incremental_identity(const Case& world) {
   if (world.schedule.empty()) return std::nullopt;
-  service::ServiceOptions full = service_options_of(world, "");
-  full.incremental = false;
-  service::ServiceOptions incremental = service_options_of(world, "");
-  incremental.incremental = true;
-  incremental.verify_incremental = true;  // throws on any divergence
-  auto a = std::make_unique<service::CampaignService>(world.grid, full);
-  auto b =
-      std::make_unique<service::CampaignService>(world.grid, incremental);
+  service::ServiceOptions verified = service_options_of(world, "");
+  verified.verify_incremental = true;
+  auto a = std::make_unique<service::CampaignService>(
+      world.grid, service_options_of(world, ""));
+  auto b = std::make_unique<service::CampaignService>(world.grid, verified);
   submit_missing(*a, world.schedule);
   submit_missing(*b, world.schedule);
   if (!a->run() || !b->run())
     return fail("a service run reported a kill with no kill armed");
   if (a->state_signature() != b->state_signature())
-    return fail("incremental signature ", b->state_signature(),
-                " != full-recompute signature ", a->state_signature());
+    return fail("plain signature ", a->state_signature(),
+                " != cross-checked signature ", b->state_signature());
   return std::nullopt;
 }
 
@@ -644,6 +768,10 @@ const std::vector<Invariant>& all_invariants() {
        "failure injection re-executes exactly the rewound months: mains == "
        "total + rewound, one post per main",
        check_fault_work_conservation},
+      {"trace-export-verifies",
+       "under kills, rewinds and retries the DES trace verifies, counts every "
+       "outcome, and its Chrome export reads back exact and overlap-free",
+       check_trace_export_verifies},
       {"knapsack-family-identity",
        "every solution extracted by solve_dp_family is bit-identical to an "
        "independent solve_dp at that cardinality cap",
@@ -657,8 +785,8 @@ const std::vector<Invariant>& all_invariants() {
        "uninterrupted run's state signature and journal bytes",
        check_crash_recovery},
       {"service-incremental-identity",
-       "incremental control-plane bookkeeping drains to the same state "
-       "signature as full recomputation",
+       "a service cross-checking every incremental answer against a full "
+       "recompute drains to the plain service's state signature",
        check_service_incremental_identity},
   };
   return registry;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "middleware/client.hpp"
@@ -138,6 +139,60 @@ TEST(FaultTolerance, SilentExecutorIsReportedUnresponsive) {
     EXPECT_NE(exec.cluster, 0);
   EXPECT_EQ(result.campaign.cluster_makespans[0], 0.0);
   EXPECT_GT(result.campaign.makespan, 0.0);
+}
+
+/// Like SilentExecutorDeployment, but keeps the swallowed request so the
+/// test can answer it after the client gave up: a daemon that misses the
+/// step-6 deadline and reports anyway.
+class LateExecutorDeployment final : public Deployment {
+ public:
+  LateExecutorDeployment(MasterAgent& fleet, ClusterId late)
+      : fleet_(fleet), late_(late) {}
+
+  [[nodiscard]] int daemon_count() const override {
+    return fleet_.daemon_count();
+  }
+  int broadcast_perf_request(const PerfRequest& request) override {
+    return fleet_.broadcast_perf_request(request);
+  }
+  void send_execute(ClusterId id, const ExecuteRequest& request) override {
+    if (id == late_)
+      kept_ = request;
+    else
+      fleet_.send_execute(id, request);
+  }
+  [[nodiscard]] const std::optional<ExecuteRequest>& kept() const {
+    return kept_;
+  }
+
+ private:
+  MasterAgent& fleet_;
+  ClusterId late_;
+  std::optional<ExecuteRequest> kept_;
+};
+
+TEST(FaultTolerance, LateReplyAfterTheDeadlineLandsInALiveMailbox) {
+  const auto grid = platform::make_builtin_grid(25);
+  MasterAgent fleet(grid);
+  LateExecutorDeployment deployment(fleet, 0);
+  Client client(deployment);
+  const auto result = client.submit_with_deadline(
+      Ensemble{8, 10}, sched::Heuristic::kKnapsack, 500ms);
+  fleet.shutdown();
+  EXPECT_EQ(result.unresponsive, std::vector<ClusterId>{0});
+
+  // The client's run is over; the late daemon now answers through the
+  // channel its request carries. Nobody reads it, but it must be alive.
+  ASSERT_TRUE(deployment.kept().has_value());
+  const ExecuteRequest& late = *deployment.kept();
+  ExecuteResponse response;
+  response.request_id = late.request_id;
+  response.cluster = 0;
+  EXPECT_TRUE(late.reply->send(SedResponse{response}));
+  const auto delivered = late.reply->try_receive();
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_EQ(std::get<ExecuteResponse>(*delivered).request_id,
+            late.request_id);
 }
 
 TEST(FaultTolerance, AllDeadThrows) {

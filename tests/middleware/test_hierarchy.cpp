@@ -42,17 +42,17 @@ TEST(LocalAgent, BroadcastReachesEveryLeafThroughTheTree) {
   LocalAgent root({&left, &s2});
   EXPECT_EQ(root.daemon_count(), 3);
 
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   PerfRequest request;
   request.request_id = 9;
   request.scenarios = 2;
   request.months = 3;
-  request.reply = &reply;
+  request.reply = reply;
   root.inbox().send(AgentMessage{AgentBroadcast{request}});
 
   std::set<ClusterId> responded;
   for (int i = 0; i < 3; ++i) {
-    const auto response = reply.receive();
+    const auto response = reply->receive();
     ASSERT_TRUE(response.has_value());
     responded.insert(std::get<PerfResponse>(*response).cluster);
   }
@@ -69,15 +69,15 @@ TEST(LocalAgent, RoutesExecuteToTheOwningSubtree) {
   ServerDaemon s1(1, platform::make_builtin_cluster(1, 15));
   LocalAgent root({&s0, &s1});
 
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 4;
   request.scenarios = 1;
   request.months = 2;
-  request.reply = &reply;
+  request.reply = reply;
   root.inbox().send(AgentMessage{AgentRoute{1, request}});
 
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(std::get<ExecuteResponse>(*response).cluster, 1);
   root.stop();

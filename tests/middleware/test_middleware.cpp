@@ -57,15 +57,15 @@ TEST(Mailbox, CrossThreadDelivery) {
 
 TEST(ServerDaemon, AnswersPerfRequest) {
   ServerDaemon daemon(0, platform::make_builtin_cluster(1, 30));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   PerfRequest request;
   request.request_id = 42;
   request.scenarios = 4;
   request.months = 6;
   request.heuristic = sched::Heuristic::kKnapsack;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& perf = std::get<PerfResponse>(*response);
   EXPECT_EQ(perf.request_id, 42);
@@ -78,15 +78,15 @@ TEST(ServerDaemon, AnswersPerfRequest) {
 
 TEST(ServerDaemon, AnswersExecuteRequest) {
   ServerDaemon daemon(3, platform::make_builtin_cluster(2, 25));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 7;
   request.scenarios = 3;
   request.months = 5;
   request.heuristic = sched::Heuristic::kBasic;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   const auto& exec = std::get<ExecuteResponse>(*response);
   EXPECT_EQ(exec.cluster, 3);
@@ -99,20 +99,20 @@ TEST(ServerDaemon, AnswersExecuteRequest) {
 
 TEST(ServerDaemon, StreamsProgressWhenAsked) {
   ServerDaemon daemon(1, platform::make_builtin_cluster(1, 30));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 5;
   request.scenarios = 4;
   request.months = 10;  // 40 main tasks
   request.progress_every = 10;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
 
   int updates = 0;
   Count last_done = 0;
   Seconds last_time = -1.0;
   for (;;) {
-    const auto response = reply.receive();
+    const auto response = reply->receive();
     ASSERT_TRUE(response.has_value());
     if (const auto* progress = std::get_if<ProgressUpdate>(&*response)) {
       ++updates;
@@ -134,17 +134,17 @@ TEST(ServerDaemon, StreamsProgressWhenAsked) {
 
 TEST(ServerDaemon, NoProgressByDefault) {
   ServerDaemon daemon(0, platform::make_builtin_cluster(0, 25));
-  Mailbox<SedResponse> reply;
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
   ExecuteRequest request;
   request.request_id = 6;
   request.scenarios = 2;
   request.months = 5;
-  request.reply = &reply;
+  request.reply = reply;
   daemon.inbox().send(SedRequest{request});
-  const auto response = reply.receive();
+  const auto response = reply->receive();
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(std::holds_alternative<ExecuteResponse>(*response));
-  EXPECT_EQ(reply.try_receive(), std::nullopt);
+  EXPECT_EQ(reply->try_receive(), std::nullopt);
   daemon.stop();
 }
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
@@ -45,6 +48,39 @@ TEST(ChromeTrace, GoldenOutput) {
             "{\"name\":\"s0 m1\",\"cat\":\"main\",\"ph\":\"X\",\"pid\":2,"
             "\"tid\":0,\"ts\":1.5,\"dur\":2,\"args\":{\"depth\":0}}"
             "],\"displayTimeUnit\":\"ms\"}\n");
+}
+
+TEST(ChromeTrace, TimestampsParseBackToTheSameDouble) {
+  // Simulated timestamps reach 1e7 s and beyond; six significant digits
+  // would merge neighbouring slices into one timestamp.
+  std::mt19937_64 rng(20261016);
+  std::uniform_real_distribution<double> uniform(0.0, 1e9);
+  TraceBuffer buffer;
+  std::vector<double> want;
+  for (int i = 0; i < 2000; ++i) {
+    TraceEvent event;
+    event.name = "x";
+    event.pid = kSimPid;
+    event.ts_us = i == 0 ? 4257130.123456789 : uniform(rng);
+    event.dur_us = uniform(rng);
+    want.push_back(event.ts_us);
+    want.push_back(event.dur_us);
+    buffer.emit_complete(event);
+  }
+  std::ostringstream os;
+  write_chrome_trace(os, buffer);
+  const std::string text = os.str();
+
+  std::vector<double> got;
+  for (std::size_t at = text.find("\"ts\":"); at != std::string::npos;
+       at = text.find("\"ts\":", at + 1)) {
+    got.push_back(std::strtod(text.c_str() + at + 5, nullptr));
+    const std::size_t dur = text.find("\"dur\":", at);
+    got.push_back(std::strtod(text.c_str() + dur + 6, nullptr));
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << "value " << i;
 }
 
 TEST(ChromeTrace, EmptyBufferIsStillValidJson) {

@@ -149,6 +149,13 @@ struct FormulaCase {
   Count months;
 };
 
+// Without this gtest prints the struct as raw bytes, padding included, and
+// ctest names its tests after that print.
+void PrintTo(const FormulaCase& c, std::ostream* os) {
+  *os << "R" << c.resources << "_G" << c.group << "_NS" << c.scenarios
+      << "_NM" << c.months;
+}
+
 class FormulaVsSimulationExact : public ::testing::TestWithParam<FormulaCase> {};
 
 TEST_P(FormulaVsSimulationExact, AgreeWhenTpDividesTg) {

@@ -62,6 +62,51 @@ TEST(SvgGantt, RealSimulationTraceRenders) {
   EXPECT_GT(out.str().size(), 1000u);
 }
 
+TEST(SimTimeline, OneSlicePerEntryOnNamedTracks) {
+  Trace trace = sample_trace();
+  trace.group_sizes = {4, 7};
+  trace.record(
+      TraceEntry{UnitKind::kGroup, 0, 0, 1, 100.0, 150.0, Outcome::kKilled});
+  obs::TraceBuffer buffer;
+  export_sim_timeline(trace, buffer, 256, "azur");
+
+  const std::vector<obs::TraceEvent> events = buffer.events();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].name, "s0 m0");
+  EXPECT_EQ(events[0].category, "main");
+  EXPECT_EQ(events[0].pid, obs::kSimPid);
+  EXPECT_EQ(events[0].track, 256);
+  EXPECT_EQ(events[0].dur_us, 100.0);
+  EXPECT_EQ(events[1].track, 257);
+  EXPECT_EQ(events[2].name, "post s0 m0");
+  EXPECT_EQ(events[2].category, "post");
+  EXPECT_EQ(events[2].track, 258);  // above the two group tracks
+  EXPECT_EQ(events[2].ts_us, 100.0);
+  EXPECT_EQ(events[3].name, "s0 m1");
+  EXPECT_EQ(events[3].category, "killed");
+  EXPECT_EQ(events[3].dur_us, 50.0);
+
+  const auto names = buffer.track_names();
+  ASSERT_EQ(names.size(), 3u);
+  EXPECT_EQ(names.at({obs::kSimPid, 256}), "azur group 0 (4p)");
+  EXPECT_EQ(names.at({obs::kSimPid, 257}), "azur group 1 (7p)");
+  EXPECT_EQ(names.at({obs::kSimPid, 258}), "azur post worker 0");
+}
+
+TEST(SimTimeline, SimulatorRecordsItsGroupLayout) {
+  const auto cluster = platform::make_builtin_cluster(1, 30);
+  const appmodel::Ensemble ensemble{4, 6};
+  const auto schedule = sched::knapsack_grouping(cluster, ensemble);
+  SimOptions options;
+  options.capture_trace = true;
+  const SimResult result =
+      simulate_ensemble(cluster, schedule, ensemble, options);
+  EXPECT_EQ(result.trace.group_sizes, schedule.group_sizes);
+  obs::TraceBuffer buffer;
+  export_sim_timeline(result.trace, buffer);
+  EXPECT_EQ(buffer.size(), result.trace.entries().size());
+}
+
 TEST(Dot, EmitsMonthDag) {
   const appmodel::MonthDag month = appmodel::make_month_dag();
   std::ostringstream out;

@@ -77,10 +77,16 @@ TEST(Perturbation, TraceRecordsOnlySuccessesAndStaysConsistent) {
   const auto schedule = sched::knapsack_grouping(c, e);
   const SimResult r = simulate_ensemble(c, schedule, e, options);
   EXPECT_EQ(r.trace.verify(), "");
-  Count mains_in_trace = 0;
-  for (const auto& entry : r.trace.entries())
-    if (entry.unit_kind == UnitKind::kGroup) ++mains_in_trace;
-  EXPECT_EQ(mains_in_trace, 18);
+  Count done = 0;
+  Count retried = 0;
+  for (const auto& entry : r.trace.entries()) {
+    if (entry.unit_kind != UnitKind::kGroup) continue;
+    if (entry.outcome == Outcome::kDone) ++done;
+    if (entry.outcome == Outcome::kRetry) ++retried;
+  }
+  EXPECT_EQ(done, 18);
+  EXPECT_GT(r.retries, 0);
+  EXPECT_EQ(retried, r.retries);
 }
 
 TEST(Perturbation, HighFailureRateStressTest) {

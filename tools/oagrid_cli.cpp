@@ -440,10 +440,11 @@ int cmd_simulate(const std::vector<std::string>& argv) {
     schedule = refined.best;
   }
 
+  const bool trace_views = args.flag("gantt") ||
+                           !args.get("trace-csv").empty() ||
+                           !args.get("svg").empty();
   sim::SimOptions options;
-  options.capture_trace = args.flag("gantt") ||
-                          !args.get("trace-csv").empty() ||
-                          !args.get("svg").empty();
+  options.capture_trace = trace_views || obs::enabled();
   options.perturbation.duration_jitter = args.get_double("jitter");
   options.perturbation.failure_probability = args.get_double("task-failures");
   options.perturbation.seed = static_cast<std::uint64_t>(args.get_int("seed"));
@@ -454,10 +455,6 @@ int cmd_simulate(const std::vector<std::string>& argv) {
         network->transfer_time(0, 0, appmodel::VolumeParams{}.restart_mb);
     std::cout << "restart hand-off: " << fmt(options.restart_handoff, 4)
               << " s per month boundary\n";
-  }
-  if (obs::enabled()) {
-    options.obs_trace = &obs::trace_buffer();
-    options.obs_label = cluster.name();
   }
   const sim::GridFaultOptions faults =
       fault_options_from(args, 1, cluster, ensemble, options.restart_handoff);
@@ -471,6 +468,9 @@ int cmd_simulate(const std::vector<std::string>& argv) {
 
   const sim::SimResult result =
       sim::simulate_ensemble(cluster, schedule, ensemble, options);
+  if (obs::enabled())
+    sim::export_sim_timeline(result.trace, obs::trace_buffer(), 0,
+                             cluster.name());
   std::cout << "grouping:  " << schedule.describe() << "\n";
   if (options.fault.active() && result.makespan >= fault::kUnavailableTime)
     std::cout << "makespan:  unavailable (the campaign cannot complete "
@@ -484,7 +484,7 @@ int cmd_simulate(const std::vector<std::string>& argv) {
   std::cout << "group utilization: " << fmt(100.0 * result.group_utilization, 1)
             << "%\n";
   if (options.fault.active()) print_fault_stats(result.fault);
-  if (options.capture_trace && result.retries == 0) {
+  if (trace_views && result.retries == 0) {
     const sim::TraceStats stats = sim::analyze_trace(result.trace);
     std::cout << "post latency:      mean " << fmt(stats.mean_post_latency, 1)
               << " s, max " << fmt(stats.max_post_latency, 1)
@@ -817,10 +817,6 @@ int cmd_serve(const std::vector<std::string>& argv) {
       .add_option("kill-after",
                   "crash injection: die after N journal appends (-1 = off)",
                   "-1")
-      .add_option("journal-batch",
-                  "group-commit journaling, one flush per service tick "
-                  "(on | off; bytes on disk are identical either way)",
-                  "on")
       .add_option("threads",
                   "threads for batched performance estimation "
                   "(1 = serial, 0 = all cores; results are identical)",
@@ -854,12 +850,9 @@ int cmd_serve(const std::vector<std::string>& argv) {
   options.journal_dir = args.get("journal");
   options.snapshot_every = args.get_int("snapshot-every");
   options.kill_after_records = args.get_int("kill-after");
-  if (const std::string batch = args.get("journal-batch"); batch == "on")
-    options.group_commit = true;
-  else if (batch == "off")
-    options.group_commit = false;
-  else
-    throw std::invalid_argument("--journal-batch must be on or off");
+  // One journal flush per processed event; the bytes on disk are those of
+  // per-record commits.
+  options.group_commit = true;
   options.estimator_threads =
       static_cast<std::size_t>(args.get_int("threads"));
   std::unique_ptr<service::PerfEstimator> estimator;
