@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "platform/profiles.hpp"
@@ -28,18 +27,12 @@ platform::Cluster reference_cluster() {
   return platform::make_builtin_cluster(1, 64);
 }
 
-std::vector<MonthIndex> uniform_months(const appmodel::Ensemble& ensemble) {
-  return std::vector<MonthIndex>(static_cast<std::size_t>(ensemble.scenarios),
-                                 static_cast<MonthIndex>(ensemble.months));
-}
-
 void BM_EvalKeyBuild(benchmark::State& state) {
   const auto cluster = reference_cluster();
   const appmodel::Ensemble ensemble{10, 150};
   const auto schedule = sched::knapsack_grouping(cluster, ensemble);
-  const auto months = uniform_months(ensemble);
   for (auto _ : state)
-    benchmark::DoNotOptimize(sim::make_eval_key(cluster, schedule, months));
+    benchmark::DoNotOptimize(sim::make_eval_key(cluster, schedule, ensemble));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EvalKeyBuild);
@@ -49,8 +42,7 @@ void BM_CacheLookupHit(benchmark::State& state) {
   const auto cluster = reference_cluster();
   const appmodel::Ensemble ensemble{10, 150};
   const auto key = sim::make_eval_key(
-      cluster, sched::knapsack_grouping(cluster, ensemble),
-      uniform_months(ensemble));
+      cluster, sched::knapsack_grouping(cluster, ensemble), ensemble);
   cache.insert(key, 1234.5);
   for (auto _ : state) benchmark::DoNotOptimize(cache.lookup(key));
   state.counters["hit_rate"] = cache.stats().hit_rate();
@@ -63,8 +55,7 @@ void BM_CacheLookupMiss(benchmark::State& state) {
   const auto cluster = reference_cluster();
   const appmodel::Ensemble ensemble{10, 150};
   sim::EvalKey key = sim::make_eval_key(
-      cluster, sched::knapsack_grouping(cluster, ensemble),
-      uniform_months(ensemble));
+      cluster, sched::knapsack_grouping(cluster, ensemble), ensemble);
   std::uint64_t salt = 0;
   for (auto _ : state) {
     key.seed = ++salt;  // every probe unique -> guaranteed miss
@@ -82,8 +73,7 @@ void BM_CacheInsertEvict(benchmark::State& state) {
   const auto cluster = reference_cluster();
   const appmodel::Ensemble ensemble{10, 150};
   sim::EvalKey key = sim::make_eval_key(
-      cluster, sched::knapsack_grouping(cluster, ensemble),
-      uniform_months(ensemble));
+      cluster, sched::knapsack_grouping(cluster, ensemble), ensemble);
   std::uint64_t salt = 0;
   for (auto _ : state) {
     key.seed = ++salt;

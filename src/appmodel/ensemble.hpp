@@ -2,9 +2,6 @@
 /// \file ensemble.hpp
 /// \brief The experiment workload: NS independent scenarios of NM months.
 
-#include <vector>
-
-#include "appmodel/month.hpp"
 #include "common/types.hpp"
 
 namespace oagrid::appmodel {
@@ -22,23 +19,11 @@ struct Ensemble {
   /// The paper's full experiment: 10 scenarios of 150 years.
   [[nodiscard]] static Ensemble paper_full() noexcept { return {10, 1800}; }
 
-  /// A scaled-down variant used by fast sweeps (same NS, fewer months). The
-  /// grouping decisions depend on NS and R only, so shrinking NM preserves
-  /// every decision while shrinking simulated horizons.
-  [[nodiscard]] static Ensemble paper_scaled(Count months_) noexcept {
-    return {10, months_};
-  }
-
   /// Throws if the workload is degenerate.
   void validate() const {
     OAGRID_REQUIRE(scenarios >= 1, "need at least one scenario");
     OAGRID_REQUIRE(months >= 1, "need at least one month per scenario");
   }
 };
-
-/// Materializes every scenario chain of the ensemble in fused form. Mostly
-/// useful for DAG-level analyses and the examples; the schedulers work from
-/// the (NS, NM) counts directly.
-[[nodiscard]] std::vector<dag::ChainedDag> build_fused_chains(const Ensemble& ensemble);
 
 }  // namespace oagrid::appmodel

@@ -10,6 +10,7 @@
 /// compression (bench_pipeline_volumes) scaled to the era's grids.
 
 #include "appmodel/ensemble.hpp"
+#include "appmodel/tasks.hpp"
 
 namespace oagrid::appmodel {
 
@@ -24,11 +25,6 @@ struct CampaignVolumes {
   double raw_diag_mb = 0.0;          ///< diagnostics before compression
   double compressed_diag_mb = 0.0;   ///< what actually gets stored/shipped
   double archived_mb = 0.0;          ///< end state: compressed + final restarts
-
-  /// Bytes saved by running compress_diags at all.
-  [[nodiscard]] double compression_savings_mb() const noexcept {
-    return raw_diag_mb - compressed_diag_mb;
-  }
 };
 
 /// Totals for a whole campaign. Restart traffic counts NM-1 hand-offs per

@@ -46,18 +46,6 @@ Summary RunningStats::summary() const noexcept {
   return Summary{n_, mean_, stddev(), min_, max_};
 }
 
-double mean_of(std::span<const double> xs) noexcept {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.mean();
-}
-
-double stddev_of(std::span<const double> xs) noexcept {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
 double percentile_of(std::vector<double> xs, double p) noexcept {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());

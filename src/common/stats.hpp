@@ -8,7 +8,6 @@
 /// without storing samples; Summary snapshots the result.
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace oagrid {
@@ -44,10 +43,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Convenience one-shot helpers over a sample span.
-[[nodiscard]] double mean_of(std::span<const double> xs) noexcept;
-[[nodiscard]] double stddev_of(std::span<const double> xs) noexcept;
 
 /// Linear-interpolation percentile (p in [0,100]) of an unsorted sample.
 /// Copies and sorts internally; intended for bench post-processing, not hot

@@ -20,13 +20,6 @@ ProcCount Grid::total_resources() const noexcept {
   return total;
 }
 
-Grid Grid::with_uniform_resources(ProcCount r) const {
-  std::vector<Cluster> out;
-  out.reserve(clusters_.size());
-  for (const auto& c : clusters_) out.push_back(c.with_resources(r));
-  return Grid(std::move(out));
-}
-
 Grid Grid::prefix(int n) const {
   OAGRID_REQUIRE(n >= 0 && n <= cluster_count(), "prefix size out of range");
   return Grid(std::vector<Cluster>(clusters_.begin(), clusters_.begin() + n));

@@ -32,10 +32,6 @@ class Grid {
   }
   [[nodiscard]] ProcCount total_resources() const noexcept;
 
-  /// Grid with every cluster resized to `r` processors (the homogeneous-size
-  /// sweeps of Figure 10: "clusters have all the same number of resources").
-  [[nodiscard]] Grid with_uniform_resources(ProcCount r) const;
-
   /// Grid keeping only the first `n` clusters.
   [[nodiscard]] Grid prefix(int n) const;
 

@@ -3,8 +3,9 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
+
+#include "common/parse_error.hpp"
 
 namespace oagrid::platform {
 namespace {
@@ -18,27 +19,28 @@ struct PendingCluster {
   int start_line = 0;
 };
 
-[[noreturn]] void fail(int line, const std::string& message) {
-  throw std::invalid_argument("oagrid: grid file line " + std::to_string(line) +
-                              ": " + message);
-}
-
-Cluster finish(const PendingCluster& p) {
-  if (!p.resources) fail(p.start_line, "cluster '" + p.name + "' missing 'resources'");
-  if (!p.min_group) fail(p.start_line, "cluster '" + p.name + "' missing 'min_group'");
-  if (p.main_times.empty())
-    fail(p.start_line, "cluster '" + p.name + "' missing 'main_times'");
-  if (!p.post_time) fail(p.start_line, "cluster '" + p.name + "' missing 'post_time'");
+Cluster finish(const PendingCluster& p, const std::string& source) {
+  const auto missing = [&](const char* directive) {
+    throw_parse_error(source, p.start_line,
+                      "cluster '" + p.name + "' missing '" + directive + "'");
+  };
+  if (!p.resources) missing("resources");
+  if (!p.min_group) missing("min_group");
+  if (p.main_times.empty()) missing("main_times");
+  if (!p.post_time) missing("post_time");
   return Cluster(p.name, *p.resources, *p.min_group, p.main_times, *p.post_time);
 }
 
 }  // namespace
 
-Grid parse_grid(std::istream& in) {
+Grid parse_grid(std::istream& in, const std::string& source) {
   Grid grid;
   std::optional<PendingCluster> current;
   std::string raw;
   int line_no = 0;
+  const auto fail = [&](const std::string& message) {
+    throw_parse_error(source, line_no, message);
+  };
 
   while (std::getline(in, raw)) {
     ++line_no;
@@ -49,46 +51,46 @@ Grid parse_grid(std::istream& in) {
     if (!(line >> keyword)) continue;  // blank / comment-only line
 
     if (keyword == "cluster") {
-      if (current) grid.add_cluster(finish(*current));
+      if (current) grid.add_cluster(finish(*current, source));
       current.emplace();
       current->start_line = line_no;
-      if (!(line >> current->name)) fail(line_no, "'cluster' needs a name");
+      if (!(line >> current->name)) fail("'cluster' needs a name");
       continue;
     }
-    if (!current) fail(line_no, "directive '" + keyword + "' before any 'cluster'");
+    if (!current) fail("directive '" + keyword + "' before any 'cluster'");
 
     if (keyword == "resources") {
       ProcCount r = 0;
-      if (!(line >> r) || r < 1) fail(line_no, "'resources' needs a positive integer");
+      if (!(line >> r) || r < 1) fail("'resources' needs a positive integer");
       current->resources = r;
     } else if (keyword == "min_group") {
       ProcCount g = 0;
-      if (!(line >> g) || g < 1) fail(line_no, "'min_group' needs a positive integer");
+      if (!(line >> g) || g < 1) fail("'min_group' needs a positive integer");
       current->min_group = g;
     } else if (keyword == "main_times") {
       Seconds t = 0;
       while (line >> t) {
-        if (t <= 0) fail(line_no, "'main_times' entries must be positive");
+        if (t <= 0) fail("'main_times' entries must be positive");
         current->main_times.push_back(t);
       }
-      if (current->main_times.empty()) fail(line_no, "'main_times' needs >= 1 value");
+      if (current->main_times.empty()) fail("'main_times' needs >= 1 value");
     } else if (keyword == "post_time") {
       Seconds t = 0;
-      if (!(line >> t) || t <= 0) fail(line_no, "'post_time' needs a positive number");
+      if (!(line >> t) || t <= 0) fail("'post_time' needs a positive number");
       current->post_time = t;
     } else {
-      fail(line_no, "unknown directive '" + keyword + "'");
+      fail("unknown directive '" + keyword + "'");
     }
   }
-  if (current) grid.add_cluster(finish(*current));
+  if (current) grid.add_cluster(finish(*current, source));
   if (grid.cluster_count() == 0)
-    throw std::invalid_argument("oagrid: grid file contains no cluster");
+    throw_parse_error(source, "no 'cluster' directive");
   return grid;
 }
 
-Grid parse_grid_string(const std::string& text) {
+Grid parse_grid_string(const std::string& text, const std::string& source) {
   std::istringstream in(text);
-  return parse_grid(in);
+  return parse_grid(in, source);
 }
 
 void write_grid(std::ostream& out, const Grid& grid) {

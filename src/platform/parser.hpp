@@ -25,12 +25,15 @@
 
 namespace oagrid::platform {
 
-/// Parses a grid description. Throws std::invalid_argument with a
-/// line-numbered message on any malformed input.
-[[nodiscard]] Grid parse_grid(std::istream& in);
+/// Parses a grid description. Throws oagrid::ParseError (a
+/// std::invalid_argument) with a "<source>:<line>: message" diagnostic on any
+/// malformed input; pass the file path as `source` for clickable errors.
+[[nodiscard]] Grid parse_grid(std::istream& in,
+                              const std::string& source = "grid");
 
 /// Convenience overload over an in-memory string.
-[[nodiscard]] Grid parse_grid_string(const std::string& text);
+[[nodiscard]] Grid parse_grid_string(const std::string& text,
+                                     const std::string& source = "grid");
 
 /// Serializes a grid back to the same format (round-trips with parse_grid).
 void write_grid(std::ostream& out, const Grid& grid);

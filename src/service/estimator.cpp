@@ -51,10 +51,6 @@ MiddlewareEstimator::MiddlewareEstimator()
 
 MiddlewareEstimator::~MiddlewareEstimator() { agent_->shutdown(); }
 
-int MiddlewareEstimator::deployed_daemons() const noexcept {
-  return agent_->daemon_count();
-}
-
 sched::PerformanceVector MiddlewareEstimator::vector(
     const platform::Cluster& cluster, Count scenarios, Count months,
     sched::Heuristic heuristic) {

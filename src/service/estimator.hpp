@@ -103,8 +103,6 @@ class MiddlewareEstimator final : public PerfEstimator {
       const platform::Cluster& cluster, Count scenarios, Count months,
       sched::Heuristic heuristic) override;
 
-  [[nodiscard]] int deployed_daemons() const noexcept;
-
  private:
   std::unique_ptr<middleware::MasterAgent> agent_;
   std::map<std::pair<std::string, ProcCount>, ClusterId> deployed_;

@@ -472,15 +472,17 @@ const std::vector<Lease>& CampaignService::current_plan() {
   return plan_cache_;
 }
 
+ProcCount CampaignService::free_capacity(ClusterId c) const {
+  const platform::Cluster& cluster = grid_.cluster(c);
+  return cluster.resources() -
+         static_cast<ProcCount>(pinned_campaigns_[static_cast<std::size_t>(c)]) *
+             cluster.min_group();
+}
+
 bool CampaignService::admissible_now() {
   bool open = false;
-  for (ClusterId c = 0; c < grid_.cluster_count() && !open; ++c) {
-    const platform::Cluster& cluster = grid_.cluster(c);
-    const ProcCount floors =
-        static_cast<ProcCount>(pinned_campaigns_[static_cast<std::size_t>(c)]) *
-        cluster.min_group();
-    open = cluster.resources() - floors >= cluster.min_group();
-  }
+  for (ClusterId c = 0; c < grid_.cluster_count() && !open; ++c)
+    open = free_capacity(c) >= grid_.cluster(c).min_group();
   if (options_.verify_incremental &&
       open != leases_.admissible(incumbent_claims()))
     throw std::runtime_error(
@@ -501,13 +503,8 @@ void CampaignService::admit(CampaignId id) {
   ClusterId anchor = -1;
   ProcCount best_free = 0;
   for (ClusterId c = 0; c < grid_.cluster_count(); ++c) {
-    const platform::Cluster& cluster = grid_.cluster(c);
-    ProcCount floors = 0;
-    for (const LeaseClaim& claim : claims)
-      for (const auto& [pinned_cluster, count] : claim.pinned)
-        if (pinned_cluster == c && count > 0) floors += cluster.min_group();
-    const ProcCount free = cluster.resources() - floors;
-    if (free >= cluster.min_group() && free > best_free) {
+    const ProcCount free = free_capacity(c);
+    if (free >= grid_.cluster(c).min_group() && free > best_free) {
       anchor = c;
       best_free = free;
     }

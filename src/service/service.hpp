@@ -203,6 +203,9 @@ class CampaignService {
   [[nodiscard]] std::vector<LeaseClaim> incumbent_claims() const;
   [[nodiscard]] const std::vector<LeaseClaim>& current_claims();
   [[nodiscard]] const std::vector<Lease>& current_plan();
+  /// Processors on cluster `c` left once every running campaign pinned
+  /// there holds its min_group floor.
+  [[nodiscard]] ProcCount free_capacity(ClusterId c) const;
   [[nodiscard]] bool admissible_now();
   void mark_claims_dirty() noexcept;
   void enqueue(CampaignId id);

@@ -90,15 +90,15 @@ class EnsembleSimulation {
  public:
   EnsembleSimulation(const platform::Cluster& cluster,
                      const sched::GroupSchedule& schedule,
-                     std::vector<MonthIndex> months_per_scenario,
+                     const appmodel::Ensemble& ensemble,
                      const SimOptions& options)
       : cluster_(cluster),
         schedule_(schedule),
-        months_limit_(std::move(months_per_scenario)),
+        months_(static_cast<MonthIndex>(ensemble.months)),
         options_(options),
         rng_(options.perturbation.seed),
         fault_active_(options.fault.active()) {
-    OAGRID_REQUIRE(!months_limit_.empty(), "need at least one scenario");
+    ensemble.validate();
     OAGRID_REQUIRE(options.restart_handoff >= 0.0,
                    "restart hand-off must be >= 0");
     if (fault_active_) {
@@ -107,16 +107,11 @@ class EnsembleSimulation {
       OAGRID_REQUIRE(options.fault.migrate_staging >= 0.0,
                      "migration staging must be >= 0");
     }
-    total_months_ = 0;
-    for (const MonthIndex m : months_limit_) {
-      OAGRID_REQUIRE(m >= 1, "each scenario needs at least one month");
-      total_months_ += m;
-    }
     schedule_.validate(cluster_);
     groups_.reserve(schedule_.group_sizes.size());
     for (const ProcCount size : schedule_.group_sizes)
       groups_.push_back(Group{size, cluster_.main_time(size), false, false, 0.0});
-    scenarios_.resize(months_limit_.size());
+    scenarios_.resize(static_cast<std::size_t>(ensemble.scenarios));
     if (options_.dispatch == DispatchRule::kFifo)
       for (ScenarioId s = 0; s < scenario_count(); ++s) fifo_.push_back(s);
     // Pending events never exceed one per busy unit: groups plus however
@@ -128,7 +123,7 @@ class EnsembleSimulation {
       free_workers_.push(next_worker_id_++);
     posts_enabled_ = schedule_.post_policy == sched::PostPolicy::kPoolThenRetired;
     if (options_.capture_trace) {
-      result_.trace.reserve(2 * static_cast<std::size_t>(total_months_));
+      result_.trace.reserve(2 * static_cast<std::size_t>(total_months()));
       result_.trace.group_sizes = schedule_.group_sizes;
     }
   }
@@ -245,18 +240,19 @@ class EnsembleSimulation {
   }
 
  private:
-  Count total_months() const { return total_months_; }
+  Count total_months() const {
+    return static_cast<Count>(scenario_count()) * months_;
+  }
 
   ScenarioId scenario_count() const {
-    return static_cast<ScenarioId>(months_limit_.size());
+    return static_cast<ScenarioId>(scenarios_.size());
   }
 
   bool scenario_available(ScenarioId s) const {
     const Scenario& sc = scenarios_[static_cast<std::size_t>(s)];
     // A pinned scenario (wait-for-repair) is served by its own dispatch
     // pass, not the shared pool; pins only exist under fault injection.
-    return !sc.running && sc.pinned_group < 0 &&
-           sc.months_dispatched < months_limit_[static_cast<std::size_t>(s)];
+    return !sc.running && sc.pinned_group < 0 && sc.months_dispatched < months_;
   }
 
   /// Picks the next scenario per the dispatch rule; -1 when none available.
@@ -316,8 +312,7 @@ class EnsembleSimulation {
       for (ScenarioId s = 0; fault_active_ && s < scenario_count(); ++s) {
         Scenario& sc = scenarios_[static_cast<std::size_t>(s)];
         if (sc.pinned_group < 0 || sc.running) continue;
-        if (sc.months_dispatched >=
-            months_limit_[static_cast<std::size_t>(s)]) {
+        if (sc.months_dispatched >= months_) {
           sc.pinned_group = -1;
           continue;
         }
@@ -588,8 +583,7 @@ class EnsembleSimulation {
 
   const platform::Cluster& cluster_;
   const sched::GroupSchedule& schedule_;
-  std::vector<MonthIndex> months_limit_;
-  Count total_months_ = 0;
+  const MonthIndex months_;  ///< NM: every scenario runs this many months
   SimOptions options_;
   Rng rng_;
 
@@ -636,20 +630,7 @@ SimResult simulate_ensemble(const platform::Cluster& cluster,
                             const sched::GroupSchedule& schedule,
                             const appmodel::Ensemble& ensemble,
                             const SimOptions& options) {
-  ensemble.validate();
-  const std::vector<MonthIndex> months(
-      static_cast<std::size_t>(ensemble.scenarios),
-      static_cast<MonthIndex>(ensemble.months));
-  EnsembleSimulation simulation(cluster, schedule, months, options);
-  return simulation.run();
-}
-
-SimResult simulate_ensemble(const platform::Cluster& cluster,
-                            const sched::GroupSchedule& schedule,
-                            const std::vector<MonthIndex>& months_per_scenario,
-                            const SimOptions& options) {
-  EnsembleSimulation simulation(cluster, schedule, months_per_scenario,
-                                options);
+  EnsembleSimulation simulation(cluster, schedule, ensemble, options);
   return simulation.run();
 }
 

@@ -123,15 +123,6 @@ struct SimResult {
                                           const appmodel::Ensemble& ensemble,
                                           const SimOptions& options = {});
 
-/// Ragged generalization: scenario s runs months_per_scenario[s] months (the
-/// paper's chains are uniform, but restarted campaigns and mixed experiment
-/// designs are not). The least-advanced rule naturally favors the longer
-/// chains until progress evens out.
-[[nodiscard]] SimResult simulate_ensemble(
-    const platform::Cluster& cluster, const sched::GroupSchedule& schedule,
-    const std::vector<MonthIndex>& months_per_scenario,
-    const SimOptions& options = {});
-
 /// Convenience: build the schedule with `heuristic` and simulate it.
 [[nodiscard]] SimResult simulate_with_heuristic(
     const platform::Cluster& cluster, sched::Heuristic heuristic,

@@ -65,8 +65,9 @@ std::size_t EvalKeyHash::operator()(const EvalKey& key) const noexcept {
   Fnv1a h;
   h.u64(key.cluster_sig);
   for (const ProcCount s : key.sizes) h.i64(s);
-  h.u64(0x5e5aULL);  // domain separator between the two vectors
-  for (const MonthIndex m : key.months) h.i64(m);
+  h.u64(0x5e5aULL);  // domain separator after the variable-length sizes
+  h.i64(key.scenarios);
+  h.i64(key.months);
   h.i64(key.post_pool);
   h.u64(static_cast<std::uint64_t>(key.post_policy) |
         (static_cast<std::uint64_t>(key.dispatch) << 8));
@@ -89,13 +90,14 @@ std::uint64_t cluster_signature(const platform::Cluster& cluster) {
 
 EvalKey make_eval_key(const platform::Cluster& cluster,
                       const sched::GroupSchedule& schedule,
-                      const std::vector<MonthIndex>& months,
+                      const appmodel::Ensemble& ensemble,
                       const SimOptions& options) {
   EvalKey key;
   key.cluster_sig = cluster_signature(cluster);
   key.sizes = schedule.group_sizes;
   std::sort(key.sizes.begin(), key.sizes.end(), std::greater<>());
-  key.months = months;
+  key.scenarios = ensemble.scenarios;
+  key.months = ensemble.months;
   key.post_pool = schedule.post_pool;
   key.post_policy = static_cast<std::uint8_t>(schedule.post_policy);
   key.dispatch = static_cast<std::uint8_t>(options.dispatch);
@@ -217,32 +219,21 @@ EvalCache& eval_cache() {
 
 Seconds cached_makespan(const platform::Cluster& cluster,
                         const sched::GroupSchedule& schedule,
-                        const std::vector<MonthIndex>& months,
+                        const appmodel::Ensemble& ensemble,
                         const SimOptions& options) {
   // Side-effecting requests must actually run: a hit would skip the trace /
   // progress events the caller asked for.
   if (options.capture_trace ||
       (options.progress_every > 0 && options.on_progress)) {
-    return simulate_ensemble(cluster, schedule, months, options).makespan;
+    return simulate_ensemble(cluster, schedule, ensemble, options).makespan;
   }
   EvalCache& cache = eval_cache();
-  const EvalKey key = make_eval_key(cluster, schedule, months, options);
+  const EvalKey key = make_eval_key(cluster, schedule, ensemble, options);
   if (const std::optional<Seconds> hit = cache.lookup(key)) return *hit;
   const Seconds makespan =
-      simulate_ensemble(cluster, schedule, months, options).makespan;
+      simulate_ensemble(cluster, schedule, ensemble, options).makespan;
   cache.insert(key, makespan);
   return makespan;
-}
-
-Seconds cached_makespan(const platform::Cluster& cluster,
-                        const sched::GroupSchedule& schedule,
-                        const appmodel::Ensemble& ensemble,
-                        const SimOptions& options) {
-  ensemble.validate();
-  const std::vector<MonthIndex> months(
-      static_cast<std::size_t>(ensemble.scenarios),
-      static_cast<MonthIndex>(ensemble.months));
-  return cached_makespan(cluster, schedule, months, options);
 }
 
 }  // namespace oagrid::sim

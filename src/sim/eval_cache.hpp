@@ -14,12 +14,11 @@
 /// Design:
 ///  * Keys are by value (EvalKey): a 64-bit content signature of the cluster
 ///    (name excluded — only the numbers that influence the simulation), the
-///    canonicalized partition, the per-scenario month counts, the post
-///    policy/pool, dispatch rule, restart hand-off, and the perturbation
-///    model (seed normalized
-///    to zero when the model is inactive, so "no perturbation, seed 1" and
-///    "no perturbation, seed 7" share an entry). Cluster identity is the
-///    signature, not the object address, so temporaries from
+///    canonicalized partition, the workload (NS, NM), the post policy/pool,
+///    dispatch rule, restart hand-off, and the perturbation model (seed
+///    normalized to zero when the model is inactive, so "no perturbation,
+///    seed 1" and "no perturbation, seed 7" share an entry). Cluster
+///    identity is the signature, not the object address, so temporaries from
 ///    Cluster::with_resources()/scaled() hit naturally.
 ///  * The store is sharded 16 ways (shard = key hash, top bits) with a plain
 ///    mutex + unordered_map per shard: lookups from parallel search workers
@@ -44,6 +43,7 @@
 #include <optional>
 #include <vector>
 
+#include "appmodel/ensemble.hpp"
 #include "common/types.hpp"
 #include "platform/cluster.hpp"
 #include "sched/group_schedule.hpp"
@@ -55,8 +55,9 @@ namespace oagrid::sim {
 /// field; the cluster participates via its content signature.
 struct EvalKey {
   std::uint64_t cluster_sig = 0;
-  std::vector<ProcCount> sizes;    ///< canonical (sorted descending)
-  std::vector<MonthIndex> months;  ///< per-scenario month counts
+  std::vector<ProcCount> sizes;  ///< canonical (sorted descending)
+  Count scenarios = 0;           ///< NS
+  Count months = 0;              ///< NM
   ProcCount post_pool = 0;
   std::uint8_t post_policy = 0;
   std::uint8_t dispatch = 0;
@@ -82,14 +83,13 @@ struct EvalKeyHash {
 /// excluded (renamed copies of a cluster share cache entries).
 [[nodiscard]] std::uint64_t cluster_signature(const platform::Cluster& cluster);
 
-/// Builds the canonical key for simulating `schedule` on `cluster` with the
-/// given per-scenario month counts. Only the simulation-relevant subset of
-/// `options` enters the key (dispatch rule + perturbation model); side-effect
-/// fields (traces, progress hooks) must be handled by the caller — see
-/// cached_makespan().
+/// Builds the canonical key for simulating `schedule` on `cluster` over
+/// `ensemble`. Only the simulation-relevant subset of `options` enters the
+/// key (dispatch rule + perturbation model); side-effect fields (traces,
+/// progress hooks) must be handled by the caller — see cached_makespan().
 [[nodiscard]] EvalKey make_eval_key(const platform::Cluster& cluster,
                                     const sched::GroupSchedule& schedule,
-                                    const std::vector<MonthIndex>& months,
+                                    const appmodel::Ensemble& ensemble,
                                     const SimOptions& options = {});
 
 /// Aggregate view of cache effectiveness.
@@ -158,16 +158,10 @@ class EvalCache {
 [[nodiscard]] EvalCache& eval_cache();
 
 /// Simulates `schedule` on `cluster` through the global cache and returns
-/// the makespan. Requests with observable side effects — trace capture, an
-/// obs trace sink, or a progress hook — bypass the cache entirely (a cache
-/// hit would silently swallow the side effects). For any question that
-/// needs more than the makespan, call simulate_ensemble directly.
-[[nodiscard]] Seconds cached_makespan(const platform::Cluster& cluster,
-                                      const sched::GroupSchedule& schedule,
-                                      const std::vector<MonthIndex>& months,
-                                      const SimOptions& options = {});
-
-/// Uniform-workload convenience overload.
+/// the makespan. Requests with observable side effects — trace capture or a
+/// progress hook — bypass the cache entirely (a cache hit would silently
+/// swallow the side effects). For any question that needs more than the
+/// makespan, call simulate_ensemble directly.
 [[nodiscard]] Seconds cached_makespan(const platform::Cluster& cluster,
                                       const sched::GroupSchedule& schedule,
                                       const appmodel::Ensemble& ensemble,

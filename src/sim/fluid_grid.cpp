@@ -237,9 +237,8 @@ DynamicGridResult simulate_dynamic_grid(const platform::Grid& grid,
   OAGRID_REQUIRE(grid.cluster_count() >= 1, "grid needs at least one cluster");
   OAGRID_REQUIRE(drift.epoch_length > 0.0, "epoch length must be positive");
   OAGRID_REQUIRE(drift.sigma >= 0.0, "drift sigma must be >= 0");
-  OAGRID_REQUIRE(drift.migration_state_mb >= 0.0 &&
-                     drift.migration_deploy_seconds >= 0.0,
-                 "migration pricing parameters must be >= 0");
+  OAGRID_REQUIRE(drift.migration_state_mb >= 0.0,
+                 "migration state size must be >= 0");
   if (drift.network.cluster_count() > 0)
     OAGRID_REQUIRE(drift.network.cluster_count() == grid.cluster_count(),
                    "network model does not cover the grid's clusters");

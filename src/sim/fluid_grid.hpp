@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "appmodel/ensemble.hpp"
+#include "appmodel/tasks.hpp"
 #include "fault/failure.hpp"
 #include "net/network.hpp"
 #include "platform/grid.hpp"
@@ -109,15 +110,12 @@ struct DriftModel {
   /// State shipped per migration: the inter-month restart file. Workloads
   /// that drag accumulated diagnostics along should raise this.
   double migration_state_mb = appmodel::kInterMonthDataMb;
-  /// Fixed redeployment overhead on top of the transfer itself.
-  Seconds migration_deploy_seconds = 0.0;
 
   /// Seconds one migration src -> dst stalls the moved scenario.
   [[nodiscard]] Seconds migration_cost(ClusterId src, ClusterId dst) const {
     if (migration_cost_override >= 0.0) return migration_cost_override;
     if (network.cluster_count() == 0) return kLegacyMigrationCost;
-    return migration_deploy_seconds +
-           network.transfer_time(src, dst, migration_state_mb);
+    return network.transfer_time(src, dst, migration_state_mb);
   }
 
   /// Cluster availability (cluster_count must match the grid when active;

@@ -46,11 +46,6 @@ Verdict fail(Parts&&... parts) {
   return out.str();
 }
 
-std::vector<MonthIndex> month_vector(const appmodel::Ensemble& ensemble) {
-  return std::vector<MonthIndex>(static_cast<std::size_t>(ensemble.scenarios),
-                                 static_cast<MonthIndex>(ensemble.months));
-}
-
 sim::GridNetworkOptions net_options_of(const Case& world) {
   sim::GridNetworkOptions options;
   if (world.network.cluster_count() > 0) {
@@ -146,17 +141,17 @@ Verdict check_lower_bounds(const Case& world) {
 Verdict check_eval_cache_identity(const Case& world) {
   sim::SimOptions options;
   options.dispatch = world.dispatch;
-  const std::vector<MonthIndex> months = month_vector(world.ensemble);
   for (int c = 0; c < world.grid.cluster_count(); ++c) {
     const platform::Cluster& cluster = world.grid.cluster(c);
     const sched::GroupSchedule schedule =
         sched::make_schedule(world.heuristic, cluster, world.ensemble);
     const Seconds direct =
-        sim::simulate_ensemble(cluster, schedule, months, options).makespan;
+        sim::simulate_ensemble(cluster, schedule, world.ensemble, options)
+            .makespan;
     const Seconds first =
-        sim::cached_makespan(cluster, schedule, months, options);
+        sim::cached_makespan(cluster, schedule, world.ensemble, options);
     const Seconds second =
-        sim::cached_makespan(cluster, schedule, months, options);
+        sim::cached_makespan(cluster, schedule, world.ensemble, options);
     if (direct != first || first != second)
       return fail("cluster ", c, ": direct ", direct, ", first cached ",
                   first, ", second cached ", second,

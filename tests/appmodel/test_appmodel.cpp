@@ -105,20 +105,5 @@ TEST(Ensemble, TotalsAndValidation) {
   EXPECT_THROW((Ensemble{5, 0}).validate(), std::invalid_argument);
 }
 
-TEST(Ensemble, ScaledKeepsScenarioCount) {
-  const Ensemble e = Ensemble::paper_scaled(60);
-  EXPECT_EQ(e.scenarios, 10);
-  EXPECT_EQ(e.months, 60);
-}
-
-TEST(Ensemble, BuildFusedChains) {
-  const auto chains = build_fused_chains(Ensemble{3, 6});
-  ASSERT_EQ(chains.size(), 3u);
-  for (const auto& chain : chains) {
-    EXPECT_EQ(chain.instances, 6);
-    EXPECT_EQ(chain.graph.node_count(), 12);
-  }
-}
-
 }  // namespace
 }  // namespace oagrid::appmodel

@@ -13,7 +13,7 @@ TEST(Volumes, PaperScaleRestartTraffic) {
 
 TEST(Volumes, CompressionSavesMost) {
   const CampaignVolumes v = campaign_volumes(Ensemble{10, 1800});
-  EXPECT_GT(v.compression_savings_mb(), 0.8 * v.raw_diag_mb);
+  EXPECT_LT(v.compressed_diag_mb, 0.2 * v.raw_diag_mb);
   EXPECT_DOUBLE_EQ(v.compressed_diag_mb * 7.5, v.raw_diag_mb);
 }
 

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -124,9 +125,40 @@ TEST(CliErrors, FailuresFileWithoutHeaderIsLineNumbered) {
       << result.output;
 }
 
-TEST(CliErrors, FailuresWithClustersRunThroughTheMiddleware) {
+TEST(CliErrors, MalformedGridFileIsLineNumbered) {
+  const TempFile file("grid.txt", "cluster x\nresources nope\n");
   const CliResult result =
-      run_cli("simulate --months 2 --clusters 3 --failures");
+      run_cli("grid --months 2 --grid-file=" + file.path());
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_NE(result.output.find(file.path() + ":2: "), std::string::npos)
+      << result.output;
+}
+
+TEST(CliErrors, OptionsASubcommandDoesNotReadAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"dynamic --recovery migrate", "--recovery"},
+      {"serve --recovery migrate", "--recovery"},
+      {"sweep --home 1", "--home"},
+      {"simulate --clusters 3", "--clusters"}};
+  for (const auto& [args, flag] : cases) {
+    const CliResult result = run_cli(args);
+    EXPECT_NE(result.exit_code, 0) << args;
+    EXPECT_NE(result.output.find(flag), std::string::npos) << result.output;
+  }
+}
+
+TEST(CliErrors, EverySubcommandTakesTheObsPair) {
+  for (const char* command : {"schedule", "simulate", "grid", "serve", "sweep",
+                              "calibrate", "dynamic", "export"}) {
+    const CliResult result = run_cli(std::string(command) + " --help");
+    EXPECT_EQ(result.exit_code, 0) << command;
+    EXPECT_NE(result.output.find("--metrics"), std::string::npos) << command;
+    EXPECT_NE(result.output.find("--trace-out"), std::string::npos) << command;
+  }
+}
+
+TEST(CliErrors, FailuresWithClustersRunThroughTheMiddleware) {
+  const CliResult result = run_cli("grid --months 2 --clusters 3 --failures");
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("failures:"), std::string::npos)
       << result.output;
@@ -138,10 +170,10 @@ TEST(CliErrors, GoodPathsStillExitZero) {
   const TempFile file("net-ok.txt",
                       "network 2\ninter_default 100 0.01\nintra_default 1000 "
                       "0.001\n");
-  EXPECT_EQ(run_cli("simulate --months 2 --clusters 2 --network=" +
-                    file.path())
-                .exit_code,
-            0);
+  EXPECT_EQ(
+      run_cli("grid --months 2 --clusters 2 --network=" + file.path())
+          .exit_code,
+      0);
 }
 
 }  // namespace

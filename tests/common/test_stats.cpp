@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -83,12 +82,6 @@ TEST(RunningStats, MergeWithEmptySides) {
   b.merge(a_copy);  // empty left
   EXPECT_EQ(b.count(), 2u);
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(Stats, OneShotHelpers) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 2.5);
-  EXPECT_NEAR(stddev_of(xs), std::sqrt(5.0 / 3.0), 1e-12);
 }
 
 TEST(Stats, PercentileEdges) {

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "fault/failure.hpp"
 #include "platform/profiles.hpp"
 #include "sched/heuristics.hpp"
@@ -15,27 +13,20 @@ using appmodel::Ensemble;
 
 const Ensemble kEnsemble{5, 18};
 
-std::vector<MonthIndex> months_of(const Ensemble& e) {
-  return std::vector<MonthIndex>(static_cast<std::size_t>(e.scenarios),
-                                 static_cast<MonthIndex>(e.months));
-}
-
 TEST(FaultCache, KeyFaultSigZeroWheneverInactive) {
   const auto cluster = platform::make_builtin_cluster(1, 30);
   const auto schedule = sched::knapsack_grouping(cluster, kEnsemble);
 
   // No model at all.
-  EXPECT_EQ(make_eval_key(cluster, schedule, months_of(kEnsemble)).fault_sig,
-            0u);
+  EXPECT_EQ(make_eval_key(cluster, schedule, kEnsemble).fault_sig, 0u);
 
   // Model attached but with no process anywhere: still the clean key.
   const fault::FailureModel inactive(1);
   SimOptions gated;
   gated.fault.model = &inactive;
-  const EvalKey gated_key =
-      make_eval_key(cluster, schedule, months_of(kEnsemble), gated);
+  const EvalKey gated_key = make_eval_key(cluster, schedule, kEnsemble, gated);
   EXPECT_EQ(gated_key.fault_sig, 0u);
-  EXPECT_EQ(gated_key, make_eval_key(cluster, schedule, months_of(kEnsemble)));
+  EXPECT_EQ(gated_key, make_eval_key(cluster, schedule, kEnsemble));
 }
 
 TEST(FaultCache, KeyFaultSigCoversInjectionParameters) {
@@ -46,41 +37,35 @@ TEST(FaultCache, KeyFaultSigCoversInjectionParameters) {
 
   SimOptions options;
   options.fault.model = &model;
-  const EvalKey base =
-      make_eval_key(cluster, schedule, months_of(kEnsemble), options);
+  const EvalKey base = make_eval_key(cluster, schedule, kEnsemble, options);
   EXPECT_NE(base.fault_sig, 0u);
 
   // Recovery policy, cadence, staging cost and the model seed all separate
   // cache entries.
   SimOptions recovery = options;
   recovery.fault.recovery = fault::RecoveryPolicy::kWaitForRepair;
-  EXPECT_NE(make_eval_key(cluster, schedule, months_of(kEnsemble), recovery)
-                .fault_sig,
+  EXPECT_NE(make_eval_key(cluster, schedule, kEnsemble, recovery).fault_sig,
             base.fault_sig);
 
   SimOptions cadence = options;
   cadence.fault.checkpoint_months = 6;
-  EXPECT_NE(make_eval_key(cluster, schedule, months_of(kEnsemble), cadence)
-                .fault_sig,
+  EXPECT_NE(make_eval_key(cluster, schedule, kEnsemble, cadence).fault_sig,
             base.fault_sig);
 
   SimOptions staging = options;
   staging.fault.migrate_staging = 300.0;
-  EXPECT_NE(make_eval_key(cluster, schedule, months_of(kEnsemble), staging)
-                .fault_sig,
+  EXPECT_NE(make_eval_key(cluster, schedule, kEnsemble, staging).fault_sig,
             base.fault_sig);
 
   auto reseeded = model;
   reseeded.set_seed(8);
   SimOptions seeded = options;
   seeded.fault.model = &reseeded;
-  EXPECT_NE(make_eval_key(cluster, schedule, months_of(kEnsemble), seeded)
-                .fault_sig,
+  EXPECT_NE(make_eval_key(cluster, schedule, kEnsemble, seeded).fault_sig,
             base.fault_sig);
 
   // Identical injection -> identical key (the memo still works).
-  EXPECT_EQ(make_eval_key(cluster, schedule, months_of(kEnsemble), options),
-            base);
+  EXPECT_EQ(make_eval_key(cluster, schedule, kEnsemble, options), base);
 }
 
 TEST(FaultCache, FailureRunsNeverPoisonCleanEntries) {

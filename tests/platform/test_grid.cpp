@@ -27,11 +27,6 @@ TEST(Grid, TotalResources) {
   EXPECT_EQ(grid.total_resources(), 35);
 }
 
-TEST(Grid, UniformResize) {
-  const Grid grid = make_builtin_grid(64).with_uniform_resources(20);
-  for (const auto& c : grid.clusters()) EXPECT_EQ(c.resources(), 20);
-}
-
 TEST(Grid, Prefix) {
   const Grid grid = make_builtin_grid(32);
   EXPECT_EQ(grid.prefix(2).cluster_count(), 2);

@@ -47,7 +47,7 @@ TEST(Parser, ErrorsCarryLineNumbers) {
     (void)parse_grid_string("cluster x\nresources nope\n");
     FAIL();
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("grid:2: "), std::string::npos);
   }
 }
 

@@ -16,13 +16,10 @@
 namespace oagrid {
 namespace {
 
+using appmodel::Ensemble;
+
 platform::Cluster test_cluster(ProcCount resources = 64) {
   return platform::make_builtin_cluster(1, resources);
-}
-
-std::vector<MonthIndex> uniform_months(Count scenarios, Count months) {
-  return std::vector<MonthIndex>(static_cast<std::size_t>(scenarios),
-                                 static_cast<MonthIndex>(months));
 }
 
 TEST(EvalKey, GroupOrderIsCanonicalized) {
@@ -33,9 +30,9 @@ TEST(EvalKey, GroupOrderIsCanonicalized) {
   sched::GroupSchedule b;
   b.group_sizes = {9, 7, 8};
   b.post_pool = 4;
-  const auto months = uniform_months(10, 150);
-  EXPECT_EQ(sim::make_eval_key(cluster, a, months),
-            sim::make_eval_key(cluster, b, months));
+  const Ensemble ensemble{10, 150};
+  EXPECT_EQ(sim::make_eval_key(cluster, a, ensemble),
+            sim::make_eval_key(cluster, b, ensemble));
 }
 
 TEST(EvalKey, DistinguishesPartitionMonthsPolicyAndPool) {
@@ -43,27 +40,27 @@ TEST(EvalKey, DistinguishesPartitionMonthsPolicyAndPool) {
   sched::GroupSchedule schedule;
   schedule.group_sizes = {8, 8};
   schedule.post_pool = 4;
-  const auto months = uniform_months(10, 150);
-  const auto base = sim::make_eval_key(cluster, schedule, months);
+  const Ensemble ensemble{10, 150};
+  const auto base = sim::make_eval_key(cluster, schedule, ensemble);
 
   sched::GroupSchedule other = schedule;
   other.group_sizes = {8, 7};
-  EXPECT_NE(base, sim::make_eval_key(cluster, other, months));
+  EXPECT_NE(base, sim::make_eval_key(cluster, other, ensemble));
 
-  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, uniform_months(10, 151)));
-  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, uniform_months(9, 150)));
+  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, Ensemble{10, 151}));
+  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, Ensemble{9, 150}));
 
   other = schedule;
   other.post_pool = 5;
-  EXPECT_NE(base, sim::make_eval_key(cluster, other, months));
+  EXPECT_NE(base, sim::make_eval_key(cluster, other, ensemble));
 
   other = schedule;
   other.post_policy = sched::PostPolicy::kAllAtEnd;
-  EXPECT_NE(base, sim::make_eval_key(cluster, other, months));
+  EXPECT_NE(base, sim::make_eval_key(cluster, other, ensemble));
 
   sim::SimOptions options;
   options.dispatch = sim::DispatchRule::kRoundRobin;
-  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, months, options));
+  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, ensemble, options));
 }
 
 TEST(EvalKey, RestartHandoffKeys) {
@@ -72,16 +69,16 @@ TEST(EvalKey, RestartHandoffKeys) {
   const auto cluster = test_cluster();
   sched::GroupSchedule schedule;
   schedule.group_sizes = {8, 8};
-  const auto months = uniform_months(10, 150);
-  const auto base = sim::make_eval_key(cluster, schedule, months);
+  const Ensemble ensemble{10, 150};
+  const auto base = sim::make_eval_key(cluster, schedule, ensemble);
 
   sim::SimOptions stalled;
   stalled.restart_handoff = 0.96;
-  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, months, stalled));
+  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, ensemble, stalled));
 
   sim::SimOptions zero;
   zero.restart_handoff = 0.0;
-  EXPECT_EQ(base, sim::make_eval_key(cluster, schedule, months, zero));
+  EXPECT_EQ(base, sim::make_eval_key(cluster, schedule, ensemble, zero));
 }
 
 TEST(EvalKey, ClusterSignatureIgnoresNameOnly) {
@@ -101,20 +98,20 @@ TEST(EvalKey, SeedIsNormalizedWhenPerturbationInactive) {
   const auto cluster = test_cluster();
   sched::GroupSchedule schedule;
   schedule.group_sizes = {8, 8};
-  const auto months = uniform_months(10, 150);
+  const Ensemble ensemble{10, 150};
 
   sim::SimOptions seed_one;
   seed_one.perturbation.seed = 1;
   sim::SimOptions seed_nine;
   seed_nine.perturbation.seed = 9;
-  EXPECT_EQ(sim::make_eval_key(cluster, schedule, months, seed_one),
-            sim::make_eval_key(cluster, schedule, months, seed_nine));
+  EXPECT_EQ(sim::make_eval_key(cluster, schedule, ensemble, seed_one),
+            sim::make_eval_key(cluster, schedule, ensemble, seed_nine));
 
   // With the model active the seed changes the execution and must key.
   seed_one.perturbation.duration_jitter = 0.1;
   seed_nine.perturbation.duration_jitter = 0.1;
-  EXPECT_NE(sim::make_eval_key(cluster, schedule, months, seed_one),
-            sim::make_eval_key(cluster, schedule, months, seed_nine));
+  EXPECT_NE(sim::make_eval_key(cluster, schedule, ensemble, seed_one),
+            sim::make_eval_key(cluster, schedule, ensemble, seed_nine));
 }
 
 TEST(EvalCache, CountsHitsMissesAndInsertions) {
@@ -122,7 +119,7 @@ TEST(EvalCache, CountsHitsMissesAndInsertions) {
   const auto cluster = test_cluster();
   sched::GroupSchedule schedule;
   schedule.group_sizes = {8, 8};
-  const auto key = sim::make_eval_key(cluster, schedule, uniform_months(10, 150));
+  const auto key = sim::make_eval_key(cluster, schedule, Ensemble{10, 150});
 
   EXPECT_FALSE(cache.lookup(key).has_value());
   cache.insert(key, 42.0);
@@ -145,7 +142,7 @@ TEST(EvalCache, BoundedCapacityEvicts) {
   const auto cluster = test_cluster();
   sched::GroupSchedule schedule;
   schedule.group_sizes = {8, 8};
-  sim::EvalKey key = sim::make_eval_key(cluster, schedule, uniform_months(10, 150));
+  sim::EvalKey key = sim::make_eval_key(cluster, schedule, Ensemble{10, 150});
   for (std::uint64_t i = 0; i < 500; ++i) {
     key.seed = i + 1;  // distinct keys
     cache.insert(key, static_cast<Seconds>(i));
@@ -215,8 +212,7 @@ TEST(CachedMakespan, SideEffectRequestsBypassTheCache) {
   traced.capture_trace = true;
   const auto before = sim::eval_cache().stats();
   const Seconds makespan = sim::cached_makespan(
-      cluster, schedule, uniform_months(ensemble.scenarios, ensemble.months),
-      traced);
+      cluster, schedule, ensemble, traced);
   const auto after = sim::eval_cache().stats();
   EXPECT_EQ(makespan,
             sim::simulate_ensemble(cluster, schedule, ensemble).makespan);

@@ -176,13 +176,12 @@ TEST(DynamicGrid, HigherMigrationCostMeansFewerMigrations) {
 }
 
 TEST(DynamicGrid, NetworkPricesMigrationCost) {
-  // With a network attached the per-pair cost is deploy + transfer_time.
+  // With a network attached the per-pair cost is the state's transfer_time.
   DriftModel drift;
   drift.network = net::renater_network(3);
   drift.migration_state_mb = 120.0;
-  drift.migration_deploy_seconds = 10.0;
   EXPECT_DOUBLE_EQ(drift.migration_cost(0, 1),
-                   10.0 + drift.network.transfer_time(0, 1, 120.0));
+                   drift.network.transfer_time(0, 1, 120.0));
   // The scalar override wins even with a network attached.
   drift.migration_cost_override = 42.0;
   EXPECT_DOUBLE_EQ(drift.migration_cost(0, 1), 42.0);

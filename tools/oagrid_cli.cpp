@@ -15,6 +15,10 @@
 /// pipeline on this machine and emits a grid-file snippet; `serve` runs the
 /// multi-tenant campaign service with a crash-recoverable journal
 /// (--kill-after injects a crash, --resume recovers from it).
+///
+/// Each subcommand declares exactly the options it reads: its own, plus the
+/// shared groups below (obs on every subcommand; --network; the failure
+/// model; the recovery policy).
 
 #include <array>
 #include <filesystem>
@@ -52,8 +56,7 @@ namespace {
 
 using namespace oagrid;
 
-/// Declares the global observability flag pair shared by the schedule /
-/// simulate / grid / sweep subcommands.
+/// Declares the observability pair every subcommand takes.
 void add_obs_options(ArgParser& args) {
   args.add_optional_value(
           "metrics",
@@ -113,21 +116,15 @@ class ObsSession {
   std::string trace_file_;
 };
 
-/// Declares the network-model flag trio shared by the simulate / grid /
-/// sweep subcommands.
-void add_net_options(ArgParser& args) {
+/// Declares --network, read by network_from (simulate / grid / sweep /
+/// dynamic).
+void add_network_option(ArgParser& args) {
   args.add_optional_value(
-          "network",
-          "price data movement over a network model: =FILE parses a "
-          "description (see docs/network.md), bare flag uses the built-in "
-          "RENATER profile",
-          "")
-      .add_option("home", "cluster that stages inputs and archives results",
-                  "0")
-      .add_option("transfer-deadline",
-                  "per-transfer budget [simulated s, 0 = none]; misses are "
-                  "reported",
-                  "0");
+      "network",
+      "price data movement over a network model: =FILE parses a "
+      "description (see docs/network.md), bare flag uses the built-in "
+      "RENATER profile",
+      "");
 }
 
 /// The network model selected by --network, sized to `clusters`, or nullopt
@@ -147,9 +144,9 @@ std::optional<net::NetworkModel> network_from(const ArgParser& args,
   return model;
 }
 
-/// Declares the failure-injection flag set shared by the simulate / grid /
-/// sweep / dynamic / serve subcommands.
-void add_fault_options(ArgParser& args) {
+/// Declares the failure-model group, read by fault_model_from (simulate /
+/// grid / sweep / dynamic / serve).
+void add_failure_options(ArgParser& args) {
   args.add_optional_value(
           "failures",
           "inject cluster failures: =FILE parses a failure trace "
@@ -159,13 +156,18 @@ void add_fault_options(ArgParser& args) {
       .add_option("mtbf", "mean time between failures [s] (bare --failures)",
                   "86400")
       .add_option("mttr", "mean time to repair [s] (bare --failures)", "3600")
-      .add_option("recovery", "recovery policy: wait | reschedule | migrate",
+      .add_option("fault-seed", "failure-model seed (bare --failures)", "1");
+}
+
+/// Declares the recovery group, read by fault_options_from (simulate / grid
+/// / sweep).
+void add_recovery_options(ArgParser& args) {
+  args.add_option("recovery", "recovery policy: wait | reschedule | migrate",
                   "reschedule")
       .add_option("checkpoint-months",
                   "restart-file retention cadence in months (0 = Young/Daly "
                   "automatic)",
-                  "1")
-      .add_option("fault-seed", "failure-model seed (bare --failures)", "1");
+                  "1");
 }
 
 /// The failure model selected by --failures, sized to `clusters`, or nullopt
@@ -246,18 +248,32 @@ sched::Heuristic heuristic_from(const std::string& name) {
       "' (basic | redistribute | all-for-main | knapsack)");
 }
 
+/// The platform described in `file`; parse errors name the file and line.
+platform::Grid read_grid_file(const std::string& file) {
+  std::ifstream in(file);
+  if (!in) throw std::invalid_argument("cannot open " + file);
+  return platform::parse_grid(in, file);
+}
+
+/// The cluster of schedule / simulate: index --profile of --grid-file, or
+/// built-in profile --profile at --resources processors.
 platform::Cluster cluster_from(const ArgParser& args) {
-  const std::string file = args.get("grid-file");
-  if (!file.empty()) {
-    std::ifstream in(file);
-    if (!in) throw std::invalid_argument("cannot open " + file);
-    const platform::Grid grid = platform::parse_grid(in);
-    const auto index = static_cast<ClusterId>(args.get_int("profile"));
-    return grid.cluster(index);
-  }
+  const long long profile = args.get_int("profile");
+  if (const std::string& file = args.get("grid-file"); !file.empty())
+    return read_grid_file(file).cluster(static_cast<ClusterId>(profile));
   return platform::make_builtin_cluster(
-             static_cast<int>(args.get_int("profile")),
-             static_cast<ProcCount>(args.get_int("resources")));
+      static_cast<int>(profile),
+      static_cast<ProcCount>(args.get_int("resources")));
+}
+
+/// The platform of grid / serve: --grid-file, or the first --clusters
+/// built-in clusters at --resources processors each.
+platform::Grid grid_from(const ArgParser& args) {
+  if (const std::string& file = args.get("grid-file"); !file.empty())
+    return read_grid_file(file);
+  return platform::make_builtin_grid(
+             static_cast<ProcCount>(args.get_int("resources")))
+      .prefix(static_cast<int>(args.get_int("clusters")));
 }
 
 void add_common_workload(ArgParser& args) {
@@ -269,10 +285,9 @@ void add_common_workload(ArgParser& args) {
 }
 
 /// Submits one campaign through a deployed agent hierarchy and prints the
-/// per-cluster outcome (shared by `grid` and `simulate --clusters N`).
-/// --network prices data movement, --failures injects outages into every
-/// daemon's share, and --step-timeout > 0 drops daemons that miss a
-/// protocol-step deadline.
+/// per-cluster outcome. --network prices data movement, --failures injects
+/// outages into every daemon's share, and --step-timeout > 0 drops daemons
+/// that miss a protocol-step deadline.
 void run_grid_campaign(middleware::Deployment& deployment,
                        const platform::Grid& grid,
                        const appmodel::Ensemble& ensemble,
@@ -390,44 +405,21 @@ int cmd_simulate(const std::vector<std::string>& argv) {
       .add_option("seed", "perturbation seed", "1")
       .add_option("trace-csv", "write the execution trace to this file", "")
       .add_option("svg", "write an SVG Gantt chart to this file", "")
-      .add_option("clusters",
-                  "with N>1, run the campaign over N built-in clusters "
-                  "through the middleware (client/agent/SeD)",
-                  "1")
       .add_option("threads",
                   "worker cap for --optimize's parallel local search "
                   "(0 = all)",
                   "0")
-      .add_option("step-timeout",
-                  "with --clusters N>1: per-protocol-step daemon deadline "
-                  "[wall ms, 0 = wait forever]",
-                  "0")
       .add_flag("gantt", "print an ASCII Gantt chart")
       .add_flag("optimize", "refine the grouping with local search first");
-  add_fault_options(args);
-  add_net_options(args);
+  add_failure_options(args);
+  add_recovery_options(args);
+  add_network_option(args);
   add_obs_options(args);
   args.parse(argv);
   const ObsSession obs_session(args);
 
   const appmodel::Ensemble ensemble{args.get_int("scenarios"),
                                     args.get_int("months")};
-  if (const long long clusters = args.get_int("clusters"); clusters > 1) {
-    const platform::Grid grid =
-        platform::make_builtin_grid(
-            static_cast<ProcCount>(args.get_int("resources")))
-            .prefix(static_cast<int>(clusters));
-    {
-      // Scoped so the SeD threads have joined (flushing per-SeD utilization
-      // gauges and trace events) before the exporters run.
-      middleware::MasterAgent agent(grid);
-      run_grid_campaign(agent, grid, ensemble,
-                        heuristic_from(args.get("heuristic")), args);
-    }
-    obs_session.finish();
-    return 0;
-  }
-
   const platform::Cluster cluster = cluster_from(args);
   sched::GroupSchedule schedule = sched::make_schedule(
       heuristic_from(args.get("heuristic")), cluster, ensemble);
@@ -523,14 +515,12 @@ int cmd_dynamic(const std::vector<std::string>& argv) {
                   "model (or the 300 s legacy flat cost without one)",
                   "-1")
       .add_option("state-mb", "state shipped per migration [MB]", "120")
-      .add_option("seeds", "number of drift seeds", "10")
-      .add_optional_value(
-          "network",
-          "price migrations over a network model: =FILE parses a "
-          "description, bare flag uses the built-in RENATER profile",
-          "");
-  add_fault_options(args);
+      .add_option("seeds", "number of drift seeds", "10");
+  add_failure_options(args);
+  add_network_option(args);
+  add_obs_options(args);
   args.parse(argv);
+  const ObsSession obs_session(args);
 
   const auto grid =
       platform::make_builtin_grid(static_cast<ProcCount>(args.get_int("resources")))
@@ -566,6 +556,7 @@ int cmd_dynamic(const std::vector<std::string>& argv) {
                    fmt(stalls / static_cast<double>(seeds), 0)});
   }
   table.print(std::cout);
+  obs_session.finish();
   return 0;
 }
 
@@ -575,7 +566,9 @@ int cmd_export(const std::vector<std::string>& argv) {
   args.add_positional("what", "month | fused | scenario")
       .add_option("months", "chain length for 'scenario'", "3")
       .add_option("out", "output file (default: stdout)", "");
+  add_obs_options(args);
   args.parse(argv);
+  const ObsSession obs_session(args);
 
   std::ostringstream dot;
   const std::string what = args.get("what");
@@ -601,6 +594,7 @@ int cmd_export(const std::vector<std::string>& argv) {
   } else {
     std::cout << dot.str();
   }
+  obs_session.finish();
   return 0;
 }
 
@@ -619,23 +613,20 @@ int cmd_grid(const std::vector<std::string>& argv) {
                   "forever]",
                   "0")
       .add_flag("hierarchy", "deploy a DIET-style Local Agent tree");
-  add_fault_options(args);
-  add_net_options(args);
+  add_failure_options(args);
+  add_recovery_options(args);
+  add_network_option(args);
+  args.add_option("home", "cluster that stages inputs and archives results",
+                  "0")
+      .add_option("transfer-deadline",
+                  "per-transfer budget [simulated s, 0 = none]; misses are "
+                  "reported",
+                  "0");
   add_obs_options(args);
   args.parse(argv);
   const ObsSession obs_session(args);
 
-  platform::Grid grid = [&] {
-    const std::string file = args.get("grid-file");
-    if (!file.empty()) {
-      std::ifstream in(file);
-      if (!in) throw std::invalid_argument("cannot open " + file);
-      return platform::parse_grid(in);
-    }
-    return platform::make_builtin_grid(
-               static_cast<ProcCount>(args.get_int("resources")))
-        .prefix(static_cast<int>(args.get_int("clusters")));
-  }();
+  const platform::Grid grid = grid_from(args);
   const appmodel::Ensemble ensemble{args.get_int("scenarios"),
                                     args.get_int("months")};
   const auto heuristic = heuristic_from(args.get("heuristic"));
@@ -669,8 +660,9 @@ int cmd_sweep(const std::vector<std::string>& argv) {
       .add_option("threads", "worker cap for the parallel sweep (0 = all)",
                   "0")
       .add_flag("csv", "emit CSV instead of an aligned table");
-  add_fault_options(args);
-  add_net_options(args);
+  add_failure_options(args);
+  add_recovery_options(args);
+  add_network_option(args);
   add_obs_options(args);
   args.parse(argv);
   const ObsSession obs_session(args);
@@ -824,22 +816,16 @@ int cmd_serve(const std::vector<std::string>& argv) {
       .add_flag("resume",
                 "recover from --journal, then run the not-yet-journaled "
                 "tail of --campaigns");
-  add_fault_options(args);
+  add_failure_options(args);
+  args.add_option("checkpoint-months",
+                  "restart-file cadence in months the failure-aware "
+                  "estimate assumes (0 = monthly)",
+                  "1");
   add_obs_options(args);
   args.parse(argv);
   const ObsSession obs_session(args);
 
-  const platform::Grid grid = [&] {
-    const std::string file = args.get("grid-file");
-    if (!file.empty()) {
-      std::ifstream in(file);
-      if (!in) throw std::invalid_argument("cannot open " + file);
-      return platform::parse_grid(in);
-    }
-    return platform::make_builtin_grid(
-               static_cast<ProcCount>(args.get_int("resources")))
-        .prefix(static_cast<int>(args.get_int("clusters")));
-  }();
+  const platform::Grid grid = grid_from(args);
 
   service::ServiceOptions options;
   options.policy = service::queue_policy_from(args.get("policy"));
@@ -953,7 +939,9 @@ int cmd_calibrate(const std::vector<std::string>& argv) {
   args.add_option("reps", "months timed per configuration", "2")
       .add_option("resources", "processor count for the emitted cluster", "32")
       .add_option("name", "cluster name in the emitted file", "this-machine");
+  add_obs_options(args);
   args.parse(argv);
+  const ObsSession obs_session(args);
 
   std::cerr << "calibrating (96x192 grid, " << args.get_int("reps")
             << " reps per G)...\n";
@@ -965,6 +953,7 @@ int cmd_calibrate(const std::vector<std::string>& argv) {
   platform::Grid grid;
   grid.add_cluster(cluster);
   platform::write_grid(std::cout, grid);
+  obs_session.finish();
   return 0;
 }
 
