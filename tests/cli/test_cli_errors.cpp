@@ -24,13 +24,15 @@ namespace fs = std::filesystem;
 
 struct CliResult {
   int exit_code = -1;
-  std::string output;  ///< stdout + stderr interleaved
+  std::string output;  ///< stdout + stderr interleaved (unless redirected)
 };
 
-/// Runs the CLI with `args`, capturing both streams and the exit status.
-CliResult run_cli(const std::string& args) {
-  const std::string command = std::string(OAGRID_CLI_PATH) + " " + args +
-                              " 2>&1";
+/// Runs the CLI with `args`, capturing both streams and the exit status;
+/// `stderr_to` is the shell redirection target of stderr.
+CliResult run_cli(const std::string& args,
+                  const std::string& stderr_to = "&1") {
+  const std::string command =
+      std::string(OAGRID_CLI_PATH) + " " + args + " 2>" + stderr_to;
   CliResult result;
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -155,6 +157,16 @@ TEST(CliErrors, EverySubcommandTakesTheObsPair) {
     EXPECT_NE(result.output.find("--metrics"), std::string::npos) << command;
     EXPECT_NE(result.output.find("--trace-out"), std::string::npos) << command;
   }
+}
+
+TEST(CliErrors, ObsReportKeepsFileFormatStdoutClean) {
+  // export's stdout is DOT (calibrate's a grid file): the report goes to
+  // stderr so the output still parses.
+  const CliResult result = run_cli("export month --metrics", "/dev/null");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output.rfind("digraph", 0), 0u) << result.output;
+  EXPECT_EQ(result.output.find("metrics"), std::string::npos)
+      << result.output;
 }
 
 TEST(CliErrors, FailuresWithClustersRunThroughTheMiddleware) {

@@ -84,29 +84,30 @@ class ObsSession {
   }
 
   /// Call after all instrumented work (and worker teardown) finished.
-  void finish() const {
+  /// Commands whose stdout is a file format (calibrate's grid file,
+  /// export's DOT) report on std::cerr so that output stays parseable.
+  void finish(std::ostream& report = std::cout) const {
     if (!obs::enabled()) return;
     if (metrics_) {
-      std::cout << "\n== metrics ==\n";
-      obs::write_metrics_table(std::cout, obs::metrics());
+      report << "\n== metrics ==\n";
+      obs::write_metrics_table(report, obs::metrics());
       if (!metrics_file_.empty()) {
         std::ofstream out(metrics_file_);
         if (!out)
           throw std::invalid_argument("cannot write " + metrics_file_);
         obs::write_prometheus(out, obs::metrics());
-        std::cout << "metrics exposition written to " << metrics_file_
-                  << "\n";
+        report << "metrics exposition written to " << metrics_file_ << "\n";
       }
     }
     if (!trace_file_.empty()) {
       std::ofstream out(trace_file_);
       if (!out) throw std::invalid_argument("cannot write " + trace_file_);
       obs::write_chrome_trace(out, obs::trace_buffer());
-      std::cout << "Chrome trace (" << obs::trace_buffer().size()
-                << " events) written to " << trace_file_ << "\n";
+      report << "Chrome trace (" << obs::trace_buffer().size()
+             << " events) written to " << trace_file_ << "\n";
       if (obs::trace_buffer().dropped() > 0)
-        std::cout << "warning: " << obs::trace_buffer().dropped()
-                  << " events dropped (buffer capacity)\n";
+        report << "warning: " << obs::trace_buffer().dropped()
+               << " events dropped (buffer capacity)\n";
     }
   }
 
@@ -594,7 +595,7 @@ int cmd_export(const std::vector<std::string>& argv) {
   } else {
     std::cout << dot.str();
   }
-  obs_session.finish();
+  obs_session.finish(std::cerr);
   return 0;
 }
 
@@ -953,7 +954,7 @@ int cmd_calibrate(const std::vector<std::string>& argv) {
   platform::Grid grid;
   grid.add_cluster(cluster);
   platform::write_grid(std::cout, grid);
-  obs_session.finish();
+  obs_session.finish(std::cerr);
   return 0;
 }
 
