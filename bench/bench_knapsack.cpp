@@ -1,7 +1,8 @@
 /// \file bench_knapsack.cpp
-/// \brief Microbenchmarks of the three knapsack solvers over the paper's
-/// item universe (group sizes 4..11), plus the grouping heuristics end to
-/// end. Google-benchmark binary: run with --benchmark_filter=... to narrow.
+/// \brief Microbenchmarks of the knapsack DP and its exhaustive oracle over
+/// the paper's item universe (group sizes 4..11), plus the grouping
+/// heuristics end to end. Google-benchmark binary: run with
+/// --benchmark_filter=... to narrow.
 
 #include <benchmark/benchmark.h>
 
@@ -39,26 +40,6 @@ BENCHMARK(BM_KnapsackDP)
     ->Args({120, 10})
     ->Args({512, 40})
     ->Args({2048, 100});
-
-void BM_KnapsackBranchBound(benchmark::State& state) {
-  const auto problem =
-      paper_problem(static_cast<int>(state.range(0)), state.range(1));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(knapsack::solve_branch_bound(problem));
-}
-BENCHMARK(BM_KnapsackBranchBound)->Args({53, 10})->Args({120, 10});
-
-void BM_KnapsackGreedy(benchmark::State& state) {
-  const auto problem =
-      paper_problem(static_cast<int>(state.range(0)), state.range(1));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(knapsack::solve_greedy(problem));
-  // Report the optimality gap alongside the speed.
-  const double dp = knapsack::solve_dp(problem).value;
-  const double greedy = knapsack::solve_greedy(problem).value;
-  state.counters["gap_%"] = 100.0 * (dp - greedy) / dp;
-}
-BENCHMARK(BM_KnapsackGreedy)->Args({53, 10})->Args({120, 10});
 
 void BM_KnapsackExhaustive(benchmark::State& state) {
   const auto problem =

@@ -7,6 +7,7 @@
 ///
 ///   $ ./ensemble_prediction [members] [months] [resources]
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 

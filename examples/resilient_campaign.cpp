@@ -1,8 +1,8 @@
 /// \file resilient_campaign.cpp
 /// \brief Operating the campaign on an unreliable grid: a server daemon dies
-/// before submission, the client's step deadline drops it instead of
-/// stranding the experiment, and the surviving clusters stream progress
-/// while executing their (re-balanced) shares.
+/// before submission, and the client's step deadline drops it instead of
+/// stranding the experiment; the surviving clusters execute the re-balanced
+/// shares.
 ///
 ///   $ ./resilient_campaign [resources-per-cluster] [scenarios] [months]
 
@@ -54,33 +54,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nCampaign completed on the survivors: makespan "
-            << fmt_duration(result.campaign.makespan) << "\n\n";
-
-  // Progress streaming on a direct execution request (what a dashboard sees).
-  std::cout << "Progress stream of a 3-scenario follow-up on "
-            << grid.cluster(0).name() << ":\n";
-  middleware::ExecuteRequest request;
-  request.request_id = 99;
-  request.scenarios = 3;
-  request.months = months;
-  request.progress_every = 3 * months / 5;
-  request.reply =
-      std::make_shared<middleware::Mailbox<middleware::SedResponse>>();
-  agent.daemon(0).inbox().send(middleware::SedRequest{request});
-  for (;;) {
-    const auto response = request.reply->receive();
-    if (!response) break;
-    if (const auto* progress =
-            std::get_if<middleware::ProgressUpdate>(&*response)) {
-      std::cout << "  " << progress->months_done << "/"
-                << progress->months_total << " months at simulated t+"
-                << fmt_duration(progress->simulated_time) << "\n";
-      continue;
-    }
-    const auto& exec = std::get<middleware::ExecuteResponse>(*response);
-    std::cout << "  done: " << fmt_duration(exec.makespan) << "\n";
-    break;
-  }
+            << fmt_duration(result.campaign.makespan) << "\n";
 
   agent.shutdown();
   return 0;

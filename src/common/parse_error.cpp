@@ -35,4 +35,10 @@ void throw_parse_error(const std::string& source, const std::string& message) {
   throw ParseError(source, message);
 }
 
+void expect_line_end(std::istream& rest, const std::string& source, int line) {
+  std::string extra;
+  if (rest >> extra)
+    throw_parse_error(source, line, "unexpected trailing '" + extra + "'");
+}
+
 }  // namespace oagrid

@@ -16,6 +16,8 @@
 /// callers that read from a named file pass the path so the diagnostic is
 /// directly clickable.
 
+#include <cctype>
+#include <istream>
 #include <stdexcept>
 #include <string>
 
@@ -49,5 +51,19 @@ class ParseError : public std::invalid_argument {
                                     const std::string& message);
 [[noreturn]] void throw_parse_error(const std::string& source,
                                     const std::string& message);
+
+/// Reads the next whitespace-separated token of a line-oriented input as a
+/// number spanning the whole token: false on "100abc", or "20.7" for an
+/// integer, instead of silently keeping the numeric prefix.
+template <typename T>
+[[nodiscard]] bool read_number(std::istream& in, T& value) {
+  if (!(in >> value)) return false;
+  const int next = in.peek();
+  return next == std::char_traits<char>::eof() || std::isspace(next) != 0;
+}
+
+/// Throws a ParseError at `source:line` when `rest` holds another token: a
+/// directive must consume its whole line.
+void expect_line_end(std::istream& rest, const std::string& source, int line);
 
 }  // namespace oagrid

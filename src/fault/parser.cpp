@@ -12,7 +12,7 @@ namespace {
 ClusterId read_cluster(std::istringstream& in, const std::string& source,
                        int line, int count) {
   ClusterId c = -1;
-  if (!(in >> c) || c < 0 || c >= count)
+  if (!read_number(in, c) || c < 0 || c >= count)
     throw_parse_error(source, line, "expected a cluster id in [0, " +
                                         std::to_string(count) + ")");
   return c;
@@ -21,7 +21,7 @@ ClusterId read_cluster(std::istringstream& in, const std::string& source,
 double read_positive(std::istringstream& in, const std::string& source,
                      int line, const std::string& what) {
   double v = 0.0;
-  if (!(in >> v) || v <= 0.0)
+  if (!read_number(in, v) || v <= 0.0)
     throw_parse_error(source, line, "expected a positive " + what);
   return v;
 }
@@ -29,7 +29,7 @@ double read_positive(std::istringstream& in, const std::string& source,
 double read_non_negative(std::istringstream& in, const std::string& source,
                          int line, const std::string& what) {
   double v = -1.0;
-  if (!(in >> v) || v < 0.0)
+  if (!read_number(in, v) || v < 0.0)
     throw_parse_error(source, line, "expected a non-negative " + what);
   return v;
 }
@@ -53,19 +53,16 @@ FailureModel parse_failures(std::istream& in, const std::string& source) {
       if (model)
         throw_parse_error(source, line_no, "duplicate 'failures' directive");
       int clusters = 0;
-      if (!(line >> clusters) || clusters < 1)
+      if (!read_number(line, clusters) || clusters < 1)
         throw_parse_error(source, line_no,
                           "'failures' needs a positive cluster count");
       model.emplace(clusters);
-      continue;
-    }
-    if (!model)
+    } else if (!model) {
       throw_parse_error(source, line_no, "directive '" + keyword +
                                              "' before 'failures <count>'");
-
-    if (keyword == "seed") {
+    } else if (keyword == "seed") {
       std::uint64_t seed = 0;
-      if (!(line >> seed))
+      if (!read_number(line, seed))
         throw_parse_error(source, line_no, "'seed' needs an unsigned integer");
       model->set_seed(seed);
     } else if (keyword == "mtbf") {
@@ -99,6 +96,7 @@ FailureModel parse_failures(std::istream& in, const std::string& source) {
       throw_parse_error(source, line_no,
                         "unknown directive '" + keyword + "'");
     }
+    expect_line_end(line, source, line_no);
   }
   if (!model) throw_parse_error(source, "no 'failures <count>' line");
   return *model;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
 namespace oagrid::knapsack {
 namespace {
@@ -225,76 +224,6 @@ std::vector<Solution> solve_dp_family(const Problem& problem) {
 
 namespace {
 
-struct BnBState {
-  const Problem* problem;
-  std::vector<std::size_t> order;    // item indices by density descending
-  std::vector<double> best_density_from;  // max density over order[i..]
-  Solution best;
-  std::vector<Count> counts;
-};
-
-void bnb_recurse(BnBState& st, std::size_t pos, int cap_left, Count items_left,
-                 double value) {
-  const Problem& p = *st.problem;
-  // Candidate completion with what is already chosen.
-  {
-    Solution candidate = make_solution(p, st.counts);
-    if (better_solution(candidate, st.best)) st.best = std::move(candidate);
-  }
-  if (pos == st.order.size() || cap_left <= 0 || items_left <= 0) return;
-
-  // Fractional bound: remaining capacity filled at the best remaining
-  // density, also capped by the cardinality budget at the best remaining
-  // per-item value.
-  double best_item_value = 0.0;
-  for (std::size_t j = pos; j < st.order.size(); ++j)
-    best_item_value = std::max(best_item_value, p.items[st.order[j]].value);
-  const double bound =
-      value + std::min(static_cast<double>(cap_left) * st.best_density_from[pos],
-                       static_cast<double>(items_left) * best_item_value);
-  if (!value_strictly_greater(bound, st.best.value)) return;
-
-  const std::size_t item = st.order[pos];
-  const int w = p.items[item].weight;
-  const Count max_count =
-      std::min<Count>(items_left, static_cast<Count>(cap_left / w));
-  // Descending count order reaches good solutions early, tightening the bound.
-  for (Count c = max_count; c >= 0; --c) {
-    st.counts[item] = c;
-    bnb_recurse(st, pos + 1, cap_left - static_cast<int>(c) * w, items_left - c,
-                value + static_cast<double>(c) * p.items[item].value);
-  }
-  st.counts[item] = 0;
-}
-
-}  // namespace
-
-Solution solve_branch_bound(const Problem& problem) {
-  validate(problem);
-  BnBState st;
-  st.problem = &problem;
-  st.order.resize(problem.items.size());
-  std::iota(st.order.begin(), st.order.end(), std::size_t{0});
-  std::sort(st.order.begin(), st.order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = problem.items[a].value / problem.items[a].weight;
-    const double db = problem.items[b].value / problem.items[b].weight;
-    if (da != db) return da > db;
-    return a < b;
-  });
-  st.best_density_from.assign(st.order.size() + 1, 0.0);
-  for (std::size_t i = st.order.size(); i-- > 0;) {
-    const Item& item = problem.items[st.order[i]];
-    st.best_density_from[i] =
-        std::max(st.best_density_from[i + 1], item.value / item.weight);
-  }
-  st.counts.assign(problem.items.size(), 0);
-  st.best = make_solution(problem, st.counts);
-  bnb_recurse(st, 0, problem.capacity, problem.max_items, 0.0);
-  return st.best;
-}
-
-namespace {
-
 void exhaustive_recurse(const Problem& p, std::size_t item, int cap_left,
                         Count items_left, std::vector<Count>& counts,
                         Solution& best) {
@@ -323,30 +252,6 @@ Solution solve_exhaustive(const Problem& problem) {
   exhaustive_recurse(problem, 0, problem.capacity, problem.max_items, counts,
                      best);
   return best;
-}
-
-Solution solve_greedy(const Problem& problem) {
-  validate(problem);
-  std::vector<std::size_t> order(problem.items.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = problem.items[a].value / problem.items[a].weight;
-    const double db = problem.items[b].value / problem.items[b].weight;
-    if (da != db) return da > db;
-    return a < b;
-  });
-  std::vector<Count> counts(problem.items.size(), 0);
-  int cap_left = problem.capacity;
-  Count items_left = problem.max_items;
-  for (const std::size_t i : order) {
-    const int w = problem.items[i].weight;
-    while (cap_left >= w && items_left > 0) {
-      ++counts[i];
-      cap_left -= w;
-      --items_left;
-    }
-  }
-  return make_solution(problem, std::move(counts));
 }
 
 }  // namespace oagrid::knapsack

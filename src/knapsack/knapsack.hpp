@@ -9,16 +9,15 @@
 /// maximizing total value subject to  sum_i i*n_i <= R  and  sum_i n_i <= NS
 /// (never more groups than runnable scenarios).
 ///
-/// Three solvers share one Problem/Solution vocabulary:
-///  * solve_dp           — O(items * capacity * max_items) dynamic program,
-///                         the production solver;
-///  * solve_branch_bound — best-first DFS with a fractional upper bound,
-///                         exact, used to cross-check and for the ablation
-///                         bench;
-///  * solve_exhaustive   — full enumeration, exponential, test oracle only.
+/// Two solvers share one Problem/Solution vocabulary:
+///  * solve_dp         — O(items * capacity * max_items) dynamic program,
+///                       the production solver (solve_dp_family extracts
+///                       every cardinality cap from one sweep);
+///  * solve_exhaustive — full enumeration, exponential, the test oracle
+///                       solve_dp is checked against.
 ///
 /// Ties on value are broken toward fewer processors used, then fewer groups,
-/// then lexicographically-largest count vector, so all solvers agree exactly
+/// then lexicographically-largest count vector, so both solvers agree exactly
 /// and results are deterministic.
 
 #include <span>
@@ -74,17 +73,8 @@ void validate(const Problem& problem);
 /// vectors are built this way.
 [[nodiscard]] std::vector<Solution> solve_dp_family(const Problem& problem);
 
-/// Exact branch-and-bound with fractional relaxation bound.
-[[nodiscard]] Solution solve_branch_bound(const Problem& problem);
-
 /// Exhaustive enumeration (oracle; exponential — keep instances small).
 [[nodiscard]] Solution solve_exhaustive(const Problem& problem);
-
-/// Density-greedy heuristic: repeatedly take the highest value/weight item
-/// that still fits. Linear-time but NOT exact — bench_knapsack measures the
-/// gap on the paper's item family, which is why the production path is the
-/// DP and not this.
-[[nodiscard]] Solution solve_greedy(const Problem& problem);
 
 /// Three-way comparison implementing the tie-break policy documented above.
 /// Returns true when `a` is strictly better than `b` for the same instance.

@@ -42,19 +42,7 @@ struct ExecuteResponse {
   fault::FaultStats fault;
 };
 
-/// Streamed during step (6) when the request asks for it: how far the
-/// cluster's campaign has advanced (in completed main tasks and simulated
-/// time) — what a monitoring dashboard would subscribe to during the real
-/// multi-week execution.
-struct ProgressUpdate {
-  int request_id = 0;
-  ClusterId cluster = 0;
-  Count months_done = 0;
-  Count months_total = 0;
-  Seconds simulated_time = 0.0;
-};
-
-using SedResponse = std::variant<PerfResponse, ExecuteResponse, ProgressUpdate>;
+using SedResponse = std::variant<PerfResponse, ExecuteResponse>;
 
 /// Where a daemon answers. Shared: a daemon dropped at a client deadline may
 /// answer after the client returned, into a mailbox that must still live.
@@ -70,16 +58,14 @@ struct PerfRequest {
   ReplyChannel reply;
 };
 
-/// Step (5) request: execute `scenarios` simulations. Setting
-/// `progress_every` > 0 asks for a ProgressUpdate on `reply` each time that
-/// many main tasks complete. Everything travels by value for the same
-/// reason as the reply channel: the daemon may outlive the client's wait.
+/// Step (5) request: execute `scenarios` simulations. Everything travels by
+/// value for the same reason as the reply channel: the daemon may outlive
+/// the client's wait.
 struct ExecuteRequest {
   int request_id = 0;
   Count scenarios = 0;
   Count months = 0;
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
-  Count progress_every = 0;
   ReplyChannel reply;
   /// Failures injected into the run (inactive by default).
   sim::GridFaultOptions fault;

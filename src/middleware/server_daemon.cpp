@@ -107,20 +107,6 @@ void ServerDaemon::handle(const ExecuteRequest& request) {
     const appmodel::Ensemble ensemble{request.scenarios, request.months};
     sim::SimOptions options;
     options.capture_trace = obs::enabled();
-    if (request.progress_every > 0 && request.reply != nullptr) {
-      options.progress_every = request.progress_every;
-      options.on_progress = [this, &request,
-                             total = ensemble.total_tasks()](Count done,
-                                                             Seconds now) {
-        ProgressUpdate update;
-        update.request_id = request.request_id;
-        update.cluster = id_;
-        update.months_done = done;
-        update.months_total = total;
-        update.simulated_time = now;
-        request.reply->send(SedResponse{update});
-      };
-    }
     const sim::SimResult result =
         sim::run_share(cluster_, id_, request.heuristic, ensemble,
                        request.fault, request.migrate_staging, options);

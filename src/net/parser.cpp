@@ -20,11 +20,11 @@ LinkSpec read_spec(std::istringstream& in, const std::string& source,
     spec.bandwidth_mbps = kInfiniteBandwidth;
   } else {
     std::istringstream bw(bw_token);
-    if (!(bw >> spec.bandwidth_mbps) || spec.bandwidth_mbps <= 0.0)
+    if (!read_number(bw, spec.bandwidth_mbps) || spec.bandwidth_mbps <= 0.0)
       throw_parse_error(source, line,
                         "bandwidth must be a positive number or 'inf'");
   }
-  if (!(in >> spec.latency) || spec.latency < 0.0)
+  if (!read_number(in, spec.latency) || spec.latency < 0.0)
     throw_parse_error(source, line, "expected a latency >= 0 [s]");
   return spec;
 }
@@ -32,7 +32,7 @@ LinkSpec read_spec(std::istringstream& in, const std::string& source,
 ClusterId read_cluster(std::istringstream& in, const std::string& source,
                        int line, int count) {
   ClusterId c = -1;
-  if (!(in >> c) || c < 0 || c >= count)
+  if (!read_number(in, c) || c < 0 || c >= count)
     throw_parse_error(source, line, "expected a cluster id in [0, " +
                                         std::to_string(count) + ")");
   return c;
@@ -57,17 +57,14 @@ NetworkModel parse_network(std::istream& in, const std::string& source) {
       if (model)
         throw_parse_error(source, line_no, "duplicate 'network' directive");
       int clusters = 0;
-      if (!(line >> clusters) || clusters < 1)
+      if (!read_number(line, clusters) || clusters < 1)
         throw_parse_error(source, line_no,
                           "'network' needs a positive cluster count");
       model.emplace(clusters);
-      continue;
-    }
-    if (!model)
+    } else if (!model) {
       throw_parse_error(source, line_no, "directive '" + keyword +
                                              "' before 'network <count>'");
-
-    if (keyword == "inter_default") {
+    } else if (keyword == "inter_default") {
       model->set_default_inter(read_spec(line, source, line_no));
     } else if (keyword == "intra_default") {
       model->set_default_intra(read_spec(line, source, line_no));
@@ -88,6 +85,7 @@ NetworkModel parse_network(std::istream& in, const std::string& source) {
       throw_parse_error(source, line_no,
                         "unknown directive '" + keyword + "'");
     }
+    expect_line_end(line, source, line_no);
   }
   if (!model) throw_parse_error(source, "no 'network <count>' line");
   return *model;

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <ostream>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -36,6 +37,7 @@ Cluster finish(const PendingCluster& p, const std::string& source) {
 Grid parse_grid(std::istream& in, const std::string& source) {
   Grid grid;
   std::optional<PendingCluster> current;
+  std::set<std::string> names;
   std::string raw;
   int line_no = 0;
   const auto fail = [&](const std::string& message) {
@@ -55,32 +57,38 @@ Grid parse_grid(std::istream& in, const std::string& source) {
       current.emplace();
       current->start_line = line_no;
       if (!(line >> current->name)) fail("'cluster' needs a name");
-      continue;
-    }
-    if (!current) fail("directive '" + keyword + "' before any 'cluster'");
-
-    if (keyword == "resources") {
+      // The failure-aware estimator finds a cluster's process by name.
+      if (!names.insert(current->name).second)
+        fail("duplicate cluster name '" + current->name + "'");
+    } else if (!current) {
+      fail("directive '" + keyword + "' before any 'cluster'");
+    } else if (keyword == "resources") {
       ProcCount r = 0;
-      if (!(line >> r) || r < 1) fail("'resources' needs a positive integer");
+      if (!read_number(line, r) || r < 1)
+        fail("'resources' needs a positive integer");
       current->resources = r;
     } else if (keyword == "min_group") {
       ProcCount g = 0;
-      if (!(line >> g) || g < 1) fail("'min_group' needs a positive integer");
+      if (!read_number(line, g) || g < 1)
+        fail("'min_group' needs a positive integer");
       current->min_group = g;
     } else if (keyword == "main_times") {
       Seconds t = 0;
-      while (line >> t) {
-        if (t <= 0) fail("'main_times' entries must be positive");
+      while (!(line >> std::ws).eof()) {
+        if (!read_number(line, t) || t <= 0)
+          fail("'main_times' entries must be positive numbers");
         current->main_times.push_back(t);
       }
       if (current->main_times.empty()) fail("'main_times' needs >= 1 value");
     } else if (keyword == "post_time") {
       Seconds t = 0;
-      if (!(line >> t) || t <= 0) fail("'post_time' needs a positive number");
+      if (!read_number(line, t) || t <= 0)
+        fail("'post_time' needs a positive number");
       current->post_time = t;
     } else {
       fail("unknown directive '" + keyword + "'");
     }
+    expect_line_end(line, source, line_no);
   }
   if (current) grid.add_cluster(finish(*current, source));
   if (grid.cluster_count() == 0)

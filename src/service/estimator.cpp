@@ -1,11 +1,7 @@
 #include "service/estimator.hpp"
 
-#include <stdexcept>
-#include <variant>
-
 #include "common/thread_pool.hpp"
 #include "fault/checkpoint.hpp"
-#include "middleware/master_agent.hpp"
 #include "sched/throughput.hpp"
 #include "sim/perf_vector.hpp"
 
@@ -46,39 +42,6 @@ sched::PerformanceVector SimEstimator::vector(
   return sim::performance_vector(cluster, scenarios, months, heuristic);
 }
 
-MiddlewareEstimator::MiddlewareEstimator()
-    : agent_(std::make_unique<middleware::MasterAgent>()) {}
-
-MiddlewareEstimator::~MiddlewareEstimator() { agent_->shutdown(); }
-
-sched::PerformanceVector MiddlewareEstimator::vector(
-    const platform::Cluster& cluster, Count scenarios, Count months,
-    sched::Heuristic heuristic) {
-  const std::pair<std::string, ProcCount> key{cluster.name(),
-                                              cluster.resources()};
-  const auto it = deployed_.find(key);
-  const ClusterId sed =
-      it != deployed_.end() ? it->second : agent_->deploy(cluster);
-  if (it == deployed_.end()) deployed_.emplace(key, sed);
-
-  middleware::PerfRequest request;
-  request.request_id = next_request_id_++;
-  request.scenarios = scenarios;
-  request.months = months;
-  request.heuristic = heuristic;
-  request.reply =
-      std::make_shared<middleware::Mailbox<middleware::SedResponse>>();
-  agent_->daemon(sed).inbox().send(middleware::SedRequest{request});
-
-  const auto response = request.reply->receive();
-  if (!response)
-    throw std::runtime_error("oagrid: estimation SeD closed its mailbox");
-  const auto* perf = std::get_if<middleware::PerfResponse>(&*response);
-  if (perf == nullptr || perf->request_id != request.request_id)
-    throw std::runtime_error("oagrid: unexpected SeD response to PerfRequest");
-  return perf->performance;
-}
-
 FailureAwareEstimator::FailureAwareEstimator(PerfEstimator& inner,
                                              const platform::Grid& grid,
                                              fault::FailureModel model,
@@ -91,7 +54,8 @@ FailureAwareEstimator::FailureAwareEstimator(PerfEstimator& inner,
   OAGRID_REQUIRE(checkpoint_months_ >= 1,
                  "checkpoint cadence must be >= 1 month");
   for (ClusterId c = 0; c < grid.cluster_count(); ++c)
-    cluster_by_name_.emplace(grid.cluster(c).name(), c);
+    OAGRID_REQUIRE(cluster_by_name_.emplace(grid.cluster(c).name(), c).second,
+                   "failure-aware estimation needs distinct cluster names");
 }
 
 sched::PerformanceVector FailureAwareEstimator::vector(

@@ -4,24 +4,19 @@
 ///
 /// Admission-time scenario placement (Algorithm 1 over the leased
 /// allotments) and the shortest-remaining-makespan queue policy both need §5
-/// performance vectors. Three interchangeable sources:
+/// performance vectors. Two interchangeable sources:
 ///  * AnalyticEstimator — closed-form steady-state throughput vectors
 ///    (sched::throughput_performance_vector): microseconds per query, the
 ///    default for a service making decisions on every admission;
 ///  * SimEstimator — exact discrete-event vectors (sim::performance_vector):
-///    what a SeD would compute, run inline;
-///  * MiddlewareEstimator — the live middleware path: performance requests
-///    travel through a MasterAgent to real SeD threads (step 1-3 of
-///    Figure 9), one ephemeral SeD per distinct allotment size. This is how
-///    the ServiceLoop drives the estimation plane over the middleware
-///    instead of the DES-internal shortcut.
+///    what a SeD computes for Figure 9's step 2, run inline.
 ///
-/// All three are deterministic for fixed inputs — a requirement, since
+/// Both are deterministic for fixed inputs — a requirement, since
 /// recovery re-runs the decision logic and must reach identical plans.
 
 #include <cstddef>
 #include <map>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/failure.hpp"
@@ -29,10 +24,6 @@
 #include "platform/grid.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/repartition.hpp"
-
-namespace oagrid::middleware {
-class MasterAgent;
-}
 
 namespace oagrid::service {
 
@@ -91,33 +82,16 @@ class SimEstimator final : public PerfEstimator {
   [[nodiscard]] bool concurrent() const noexcept override { return true; }
 };
 
-/// Queries live SeD threads through a private MasterAgent. Deploys one SeD
-/// per distinct (cluster name, allotment size) and caches the mapping, so a
-/// steady-state service keeps a small warm fleet.
-class MiddlewareEstimator final : public PerfEstimator {
- public:
-  MiddlewareEstimator();
-  ~MiddlewareEstimator() override;
-
-  [[nodiscard]] sched::PerformanceVector vector(
-      const platform::Cluster& cluster, Count scenarios, Count months,
-      sched::Heuristic heuristic) override;
-
- private:
-  std::unique_ptr<middleware::MasterAgent> agent_;
-  std::map<std::pair<std::string, ProcCount>, ClusterId> deployed_;
-  int next_request_id_ = 1;
-};
-
 /// Decorator folding a fault::FailureModel into any estimator's vectors:
 /// each entry is inflated to its first-order expected makespan under the
 /// cluster's failure process (fault::expected_makespan), and entries for a
 /// permanently dead cluster become fault::kUnavailableTime — so Algorithm 1
 /// places nothing there and the service degrades the tenant's lease instead
 /// of deadlocking on capacity that will never compute. Clusters are matched
-/// by name against the grid the model indexes; unknown names pass through
-/// unchanged. Deterministic whenever the inner estimator is (the inflation
-/// is closed-form), so verified journal replay keeps working.
+/// by name against the grid the model indexes, so the grid's names must be
+/// distinct; unknown names pass through unchanged. Deterministic whenever
+/// the inner estimator is (the inflation is closed-form), so verified
+/// journal replay keeps working.
 class FailureAwareEstimator final : public PerfEstimator {
  public:
   /// `inner` must outlive this estimator (not owned).

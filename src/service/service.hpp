@@ -4,8 +4,7 @@
 /// multiplexing many tenants' campaigns over one shared grid, with elastic
 /// leases and a crash-recoverable journal.
 ///
-/// Layering (the new control plane above sched/sim/middleware, below the
-/// CLI):
+/// Layering (the control plane above sched/sim, below the CLI):
 ///
 ///   CampaignQueue  — who waits, and in what order (admission policy);
 ///   LeaseManager   — who holds how many processors of which cluster;

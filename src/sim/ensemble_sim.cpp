@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -112,8 +111,6 @@ class EnsembleSimulation {
     for (const ProcCount size : schedule_.group_sizes)
       groups_.push_back(Group{size, cluster_.main_time(size), false, false, 0.0});
     scenarios_.resize(static_cast<std::size_t>(ensemble.scenarios));
-    if (options_.dispatch == DispatchRule::kFifo)
-      for (ScenarioId s = 0; s < scenario_count(); ++s) fifo_.push_back(s);
     // Pending events never exceed one per busy unit: groups plus however
     // many post workers the policy can create (bounded by the cluster).
     calendar_.reserve(groups_.size() +
@@ -255,37 +252,18 @@ class EnsembleSimulation {
     return !sc.running && sc.pinned_group < 0 && sc.months_dispatched < months_;
   }
 
-  /// Picks the next scenario per the dispatch rule; -1 when none available.
-  ScenarioId pick_scenario() {
-    switch (options_.dispatch) {
-      case DispatchRule::kLeastAdvanced: {
-        ScenarioId best = -1;
-        for (ScenarioId s = 0; s < scenario_count(); ++s) {
-          if (!scenario_available(s)) continue;
-          if (best < 0 || scenarios_[static_cast<std::size_t>(s)].months_done <
-                              scenarios_[static_cast<std::size_t>(best)].months_done)
-            best = s;
-        }
-        return best;
-      }
-      case DispatchRule::kRoundRobin: {
-        for (Count step = 0; step < scenario_count(); ++step) {
-          const auto s = static_cast<ScenarioId>(
-              (rr_cursor_ + step) % scenario_count());
-          if (scenario_available(s)) {
-            rr_cursor_ = static_cast<Count>(s) + 1;
-            return s;
-          }
-        }
-        return -1;
-      }
-      case DispatchRule::kFifo: {
-        for (const ScenarioId s : fifo_)
-          if (scenario_available(s)) return s;
-        return -1;
-      }
+  /// The least-advanced available scenario (fewest completed months, then
+  /// lowest id; paper §4.3); -1 when none is available.
+  ScenarioId pick_scenario() const {
+    ScenarioId best = -1;
+    for (ScenarioId s = 0; s < scenario_count(); ++s) {
+      if (!scenario_available(s)) continue;
+      if (best < 0 ||
+          scenarios_[static_cast<std::size_t>(s)].months_done <
+              scenarios_[static_cast<std::size_t>(best)].months_done)
+        best = s;
     }
-    return -1;
+    return best;
   }
 
   /// Fastest idle non-retired non-down group (smallest main time, then
@@ -410,16 +388,6 @@ class EnsembleSimulation {
           done_entries_[static_cast<std::size_t>(s)].push_back(entry);
       }
       post_queue_.push(PostTask{s, month});
-      if (options_.progress_every > 0 && options_.on_progress &&
-          months_done_total_ % options_.progress_every == 0)
-        options_.on_progress(months_done_total_, calendar_.now());
-    }
-
-    // FIFO rule: the scenario re-enters the queue at the back. The queue is
-    // only maintained when the rule can observe it.
-    if (options_.dispatch == DispatchRule::kFifo) {
-      fifo_.erase(std::find(fifo_.begin(), fifo_.end(), s));
-      fifo_.push_back(s);
     }
 
     if (months_done_total_ == total_months()) on_all_mains_done();
@@ -590,8 +558,6 @@ class EnsembleSimulation {
   Calendar<SimEvent> calendar_;
   std::vector<Group> groups_;
   std::vector<Scenario> scenarios_;
-  std::deque<ScenarioId> fifo_;  ///< maintained only under DispatchRule::kFifo
-  Count rr_cursor_ = 0;
 
   Count months_dispatched_total_ = 0;
   Count months_done_total_ = 0;
@@ -616,15 +582,6 @@ class EnsembleSimulation {
 };
 
 }  // namespace
-
-const char* to_string(DispatchRule rule) noexcept {
-  switch (rule) {
-    case DispatchRule::kLeastAdvanced: return "least-advanced";
-    case DispatchRule::kRoundRobin: return "round-robin";
-    case DispatchRule::kFifo: return "fifo";
-  }
-  return "?";
-}
 
 SimResult simulate_ensemble(const platform::Cluster& cluster,
                             const sched::GroupSchedule& schedule,

@@ -15,7 +15,6 @@
 /// makespan_model.hpp is validated against it.
 
 #include <cstdint>
-#include <functional>
 
 #include "appmodel/ensemble.hpp"
 #include "fault/failure.hpp"
@@ -25,16 +24,6 @@
 #include "sim/trace.hpp"
 
 namespace oagrid::sim {
-
-/// Which scenario a freed group picks next (the paper uses least-advanced;
-/// the others exist for the dispatch-rule ablation bench).
-enum class DispatchRule {
-  kLeastAdvanced,  ///< fewest completed months first (paper §4.3)
-  kRoundRobin,     ///< cycle through scenario ids
-  kFifo,           ///< scenarios queue up in the order they become ready
-};
-
-[[nodiscard]] const char* to_string(DispatchRule rule) noexcept;
 
 /// Stochastic execution-time perturbations. The paper's evaluation is
 /// deterministic (benchmarked durations); the real Grid'5000 runs it was
@@ -84,7 +73,6 @@ struct SimOptions {
   /// whenever obs::enabled(), trace or not — that path costs nothing per
   /// event.
   bool capture_trace = false;
-  DispatchRule dispatch = DispatchRule::kLeastAdvanced;
   PerturbationModel perturbation;  ///< inactive by default (exact durations)
   FaultOptions fault;              ///< node failures; inactive by default
 
@@ -95,13 +83,6 @@ struct SimOptions {
   /// the cluster's fabric. The default 0.0 reproduces the paper's free-data
   /// world bit for bit (the stall is added, and x + 0.0 == x).
   Seconds restart_handoff = 0.0;
-
-  /// Progress streaming: when > 0, `on_progress(months_done, simulated_now)`
-  /// fires every `progress_every` completed main tasks (the hook a real
-  /// multi-week execution would use to report upstream; the middleware's
-  /// server daemons forward it as ProgressUpdate messages).
-  Count progress_every = 0;
-  std::function<void(Count, Seconds)> on_progress;
 };
 
 struct SimResult {

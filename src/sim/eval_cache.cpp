@@ -69,8 +69,7 @@ std::size_t EvalKeyHash::operator()(const EvalKey& key) const noexcept {
   h.i64(key.scenarios);
   h.i64(key.months);
   h.i64(key.post_pool);
-  h.u64(static_cast<std::uint64_t>(key.post_policy) |
-        (static_cast<std::uint64_t>(key.dispatch) << 8));
+  h.u64(static_cast<std::uint64_t>(key.post_policy));
   h.f64(key.restart_handoff);
   h.f64(key.duration_jitter);
   h.f64(key.failure_probability);
@@ -100,7 +99,6 @@ EvalKey make_eval_key(const platform::Cluster& cluster,
   key.months = ensemble.months;
   key.post_pool = schedule.post_pool;
   key.post_policy = static_cast<std::uint8_t>(schedule.post_policy);
-  key.dispatch = static_cast<std::uint8_t>(options.dispatch);
   key.restart_handoff = options.restart_handoff;
   if (options.perturbation.active()) {
     key.duration_jitter = options.perturbation.duration_jitter;
@@ -221,12 +219,10 @@ Seconds cached_makespan(const platform::Cluster& cluster,
                         const sched::GroupSchedule& schedule,
                         const appmodel::Ensemble& ensemble,
                         const SimOptions& options) {
-  // Side-effecting requests must actually run: a hit would skip the trace /
-  // progress events the caller asked for.
-  if (options.capture_trace ||
-      (options.progress_every > 0 && options.on_progress)) {
+  // A traced request must actually run: a hit would skip the trace the
+  // caller asked for.
+  if (options.capture_trace)
     return simulate_ensemble(cluster, schedule, ensemble, options).makespan;
-  }
   EvalCache& cache = eval_cache();
   const EvalKey key = make_eval_key(cluster, schedule, ensemble, options);
   if (const std::optional<Seconds> hit = cache.lookup(key)) return *hit;

@@ -15,7 +15,7 @@
 ///  * Keys are by value (EvalKey): a 64-bit content signature of the cluster
 ///    (name excluded — only the numbers that influence the simulation), the
 ///    canonicalized partition, the workload (NS, NM), the post policy/pool,
-///    dispatch rule, restart hand-off, and the perturbation model (seed
+///    restart hand-off, and the perturbation model (seed
 ///    normalized to zero when the model is inactive, so "no perturbation,
 ///    seed 1" and "no perturbation, seed 7" share an entry). Cluster
 ///    identity is the signature, not the object address, so temporaries from
@@ -60,7 +60,6 @@ struct EvalKey {
   Count months = 0;              ///< NM
   ProcCount post_pool = 0;
   std::uint8_t post_policy = 0;
-  std::uint8_t dispatch = 0;
   Seconds restart_handoff = 0.0;  ///< inter-month data stall (net-aware runs)
   double duration_jitter = 0.0;
   double failure_probability = 0.0;
@@ -85,8 +84,8 @@ struct EvalKeyHash {
 
 /// Builds the canonical key for simulating `schedule` on `cluster` over
 /// `ensemble`. Only the simulation-relevant subset of `options` enters the
-/// key (dispatch rule + perturbation model); side-effect fields (traces,
-/// progress hooks) must be handled by the caller — see cached_makespan().
+/// key (restart hand-off, perturbation and failure models); trace capture
+/// must be handled by the caller — see cached_makespan().
 [[nodiscard]] EvalKey make_eval_key(const platform::Cluster& cluster,
                                     const sched::GroupSchedule& schedule,
                                     const appmodel::Ensemble& ensemble,
@@ -158,10 +157,9 @@ class EvalCache {
 [[nodiscard]] EvalCache& eval_cache();
 
 /// Simulates `schedule` on `cluster` through the global cache and returns
-/// the makespan. Requests with observable side effects — trace capture or a
-/// progress hook — bypass the cache entirely (a cache hit would silently
-/// swallow the side effects). For any question that needs more than the
-/// makespan, call simulate_ensemble directly.
+/// the makespan. Requests that capture a trace bypass the cache entirely (a
+/// cache hit would silently drop the trace). For any question that needs
+/// more than the makespan, call simulate_ensemble directly.
 [[nodiscard]] Seconds cached_makespan(const platform::Cluster& cluster,
                                       const sched::GroupSchedule& schedule,
                                       const appmodel::Ensemble& ensemble,

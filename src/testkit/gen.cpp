@@ -155,7 +155,6 @@ Case materialize(const CaseSpec& raw) {
   world.grid = make_grid(spec, grid_rng);
   world.ensemble = appmodel::Ensemble{spec.scenarios, spec.months};
   world.heuristic = static_cast<sched::Heuristic>(spec.heuristic);
-  world.dispatch = static_cast<sim::DispatchRule>(spec.dispatch);
 
   world.network = make_network(spec, net_rng);
   if (world.network.cluster_count() > 0) {

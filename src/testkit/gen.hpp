@@ -25,7 +25,6 @@
 #include "platform/grid.hpp"
 #include "sched/heuristics.hpp"
 #include "service/campaign.hpp"
-#include "sim/ensemble_sim.hpp"
 #include "testkit/spec.hpp"
 
 namespace oagrid::testkit {
@@ -44,7 +43,6 @@ struct Case {
   platform::Grid grid;
   appmodel::Ensemble ensemble;
   sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
-  sim::DispatchRule dispatch = sim::DispatchRule::kLeastAdvanced;
 
   /// cluster_count() == 0 when the spec attaches no network.
   net::NetworkModel network;

@@ -139,19 +139,16 @@ Verdict check_lower_bounds(const Case& world) {
 // --- memoized evaluation is bit-identical to direct simulation --------------
 
 Verdict check_eval_cache_identity(const Case& world) {
-  sim::SimOptions options;
-  options.dispatch = world.dispatch;
   for (int c = 0; c < world.grid.cluster_count(); ++c) {
     const platform::Cluster& cluster = world.grid.cluster(c);
     const sched::GroupSchedule schedule =
         sched::make_schedule(world.heuristic, cluster, world.ensemble);
     const Seconds direct =
-        sim::simulate_ensemble(cluster, schedule, world.ensemble, options)
-            .makespan;
+        sim::simulate_ensemble(cluster, schedule, world.ensemble).makespan;
     const Seconds first =
-        sim::cached_makespan(cluster, schedule, world.ensemble, options);
+        sim::cached_makespan(cluster, schedule, world.ensemble);
     const Seconds second =
-        sim::cached_makespan(cluster, schedule, world.ensemble, options);
+        sim::cached_makespan(cluster, schedule, world.ensemble);
     if (direct != first || first != second)
       return fail("cluster ", c, ": direct ", direct, ", first cached ",
                   first, ", second cached ", second,
@@ -344,7 +341,6 @@ Verdict conservation_of(const platform::Cluster& cluster,
                         bool aggressive) {
   const char* label = fault_run_label(aggressive);
   sim::SimOptions options;
-  options.dispatch = world.dispatch;
   options.fault = fault;
   const sched::GroupSchedule schedule =
       sched::make_schedule(world.heuristic, cluster, ensemble);
@@ -447,7 +443,6 @@ Verdict trace_export_of(const platform::Cluster& cluster,
   const char* label = fault_run_label(aggressive);
   sim::SimOptions options;
   options.capture_trace = true;
-  options.dispatch = world.dispatch;
   options.fault = fault;
   if (aggressive) {
     // Retries on top of kills and rewinds: every outcome on one timeline.

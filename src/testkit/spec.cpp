@@ -64,7 +64,6 @@ void CaseSpec::clamp() noexcept {
   clamp_field(checkpoint_months, 1, 4);
   clamp_field(recovery, 0, 2);
   clamp_field(heuristic, 0, 3);
-  clamp_field(dispatch, 0, 2);
   clamp_field(campaigns, 0, 4);
   clamp_field(kills, 0, 3);
   clamp_field(snapshot_every, Count{0}, Count{8});
@@ -77,7 +76,7 @@ std::string CaseSpec::encode() const {
       << ",divisible=" << (divisible_tables ? 1 : 0) << ",net=" << net_kind
       << ",fault=" << fault_kind << ",checkpoint=" << checkpoint_months
       << ",recovery=" << recovery << ",heuristic=" << heuristic
-      << ",dispatch=" << dispatch << ",campaigns=" << campaigns
+      << ",campaigns=" << campaigns
       << ",kills=" << kills << ",group_commit=" << (group_commit ? 1 : 0)
       << ",snapshot=" << snapshot_every;
   return out.str();
@@ -115,8 +114,6 @@ CaseSpec CaseSpec::decode(const std::string& text) {
       spec.recovery = static_cast<int>(parse_int(key, value));
     else if (key == "heuristic")
       spec.heuristic = static_cast<int>(parse_int(key, value));
-    else if (key == "dispatch")
-      spec.dispatch = static_cast<int>(parse_int(key, value));
     else if (key == "campaigns")
       spec.campaigns = static_cast<int>(parse_int(key, value));
     else if (key == "kills")
@@ -145,7 +142,6 @@ CaseSpec spec_for_case(std::uint64_t root_seed, std::uint64_t index) {
   spec.checkpoint_months = static_cast<int>(rng.uniform_int(1, 4));
   spec.recovery = static_cast<int>(rng.uniform_int(0, 2));
   spec.heuristic = static_cast<int>(rng.uniform_int(0, 3));
-  spec.dispatch = static_cast<int>(rng.uniform_int(0, 2));
   spec.campaigns = static_cast<int>(rng.uniform_int(0, 4));
   spec.kills = static_cast<int>(rng.uniform_int(0, 3));
   spec.group_commit = rng.uniform() < 0.5;
@@ -180,7 +176,6 @@ std::vector<CaseSpec> shrink_candidates(const CaseSpec& spec) {
   push([](CaseSpec& s) { s.snapshot_every = 0; });
   push([](CaseSpec& s) { s.group_commit = false; });
   push([](CaseSpec& s) { s.checkpoint_months = 1; });
-  push([](CaseSpec& s) { s.dispatch = 0; });
   push([](CaseSpec& s) { s.divisible_tables = true; });
   return out;
 }

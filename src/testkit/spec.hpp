@@ -48,7 +48,6 @@ struct CaseSpec {
   int recovery = 1;           ///< fault::RecoveryPolicy underlying value
   // Scheduling.
   int heuristic = 3;  ///< sched::Heuristic underlying value
-  int dispatch = 0;   ///< sim::DispatchRule underlying value
 
   // Service / crash explorer.
   int campaigns = 2;       ///< service schedule length (0 = no service world)

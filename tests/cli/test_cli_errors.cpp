@@ -149,6 +149,16 @@ TEST(CliErrors, OptionsASubcommandDoesNotReadAreRejected) {
   }
 }
 
+TEST(CliErrors, UnknownEstimatorListsTheBackends) {
+  const CliResult result = run_cli("serve --estimator middleware");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_NE(result.output.find("unknown estimator 'middleware'"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("analytic | sim"), std::string::npos)
+      << result.output;
+}
+
 TEST(CliErrors, EverySubcommandTakesTheObsPair) {
   for (const char* command : {"schedule", "simulate", "grid", "serve", "sweep",
                               "calibrate", "dynamic", "export"}) {

@@ -121,6 +121,13 @@ TEST(FaultParser, RejectsOtherBadValues) {
             std::string::npos);
   EXPECT_NE(message_of("failures 1\nseed nope\n").find("seed"),
             std::string::npos);
+  // A directive consumes its whole line and a number its whole token.
+  for (const char* text :
+       {"failures 1\nmtbf 0 86400 3600 oops\n", "failures 1\nseed 12abc\n",
+        "failures 1\nmtbf 0.5 86400 3600\n", "failures 1\ndown 0 0\n",
+        "failures 1\noutage 0 100 50s\n"})
+    EXPECT_NE(message_of(text).find("failures:2: "), std::string::npos)
+        << text;
 }
 
 TEST(FaultParser, RequiresHeader) {

@@ -38,7 +38,7 @@ TEST(Knapsack, ValidationRejectsBadInstances) {
 
 TEST(Knapsack, ZeroCapacityYieldsEmptySolution) {
   const Problem p = paper_items(0, 10);
-  for (const auto& solver : {solve_dp, solve_branch_bound, solve_exhaustive}) {
+  for (const auto& solver : {solve_dp, solve_exhaustive}) {
     const Solution s = solver(p);
     EXPECT_EQ(s.items_used, 0);
     EXPECT_DOUBLE_EQ(s.value, 0.0);
@@ -148,16 +148,12 @@ TEST_P(KnapsackSolverAgreement, AllSolversEquallyGood) {
   const auto [capacity, max_items] = GetParam();
   const Problem p = paper_items(capacity, max_items);
   const Solution dp = solve_dp(p);
-  const Solution bb = solve_branch_bound(p);
   const Solution ex = solve_exhaustive(p);
   EXPECT_TRUE(is_feasible(p, dp));
-  EXPECT_TRUE(is_feasible(p, bb));
   EXPECT_TRUE(is_feasible(p, ex));
-  // All three must be mutually non-better (equal under the tie-break order).
+  // Both must be mutually non-better (equal under the tie-break order).
   EXPECT_FALSE(better_solution(ex, dp)) << "dp suboptimal at R=" << capacity;
   EXPECT_FALSE(better_solution(dp, ex));
-  EXPECT_FALSE(better_solution(ex, bb)) << "bb suboptimal at R=" << capacity;
-  EXPECT_FALSE(better_solution(bb, ex));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,35 +174,10 @@ TEST(Knapsack, RandomInstancesDpMatchesExhaustive) {
     p.capacity = static_cast<int>(rng.uniform_int(0, 30));
     p.max_items = rng.uniform_int(0, 6);
     const Solution dp = solve_dp(p);
-    const Solution bb = solve_branch_bound(p);
     const Solution ex = solve_exhaustive(p);
     EXPECT_TRUE(is_feasible(p, dp));
     EXPECT_NEAR(dp.value, ex.value, 1e-9 + 1e-9 * ex.value) << "trial " << trial;
-    EXPECT_NEAR(bb.value, ex.value, 1e-9 + 1e-9 * ex.value) << "trial " << trial;
   }
-}
-
-TEST(Knapsack, GreedyIsFeasibleButSometimesSuboptimal) {
-  // Greedy never violates constraints...
-  for (const int r : {11, 20, 35, 53, 77}) {
-    const Problem p = paper_items(r, 10);
-    const Solution greedy = solve_greedy(p);
-    EXPECT_TRUE(is_feasible(p, greedy)) << r;
-    EXPECT_LE(greedy.value, solve_dp(p).value + 1e-12) << r;
-  }
-  // ...and there exists an instance where it strictly loses to the DP (the
-  // reason the production path is the DP): capacity 11 — greedy grabs the
-  // densest item (size 7 here) and strands 4 processors on a poor filler.
-  const Problem p = paper_items(11, 10);
-  const Solution greedy = solve_greedy(p);
-  const Solution dp = solve_dp(p);
-  EXPECT_LT(greedy.value, dp.value - 1e-9);
-}
-
-TEST(Knapsack, GreedyRespectsCardinality) {
-  const Problem p = paper_items(1000, 3);
-  const Solution s = solve_greedy(p);
-  EXPECT_LE(s.items_used, 3);
 }
 
 TEST(Knapsack, DeterministicAcrossCalls) {

@@ -97,41 +97,7 @@ TEST(ServerDaemon, AnswersExecuteRequest) {
   daemon.stop();
 }
 
-TEST(ServerDaemon, StreamsProgressWhenAsked) {
-  ServerDaemon daemon(1, platform::make_builtin_cluster(1, 30));
-  const auto reply = std::make_shared<Mailbox<SedResponse>>();
-  ExecuteRequest request;
-  request.request_id = 5;
-  request.scenarios = 4;
-  request.months = 10;  // 40 main tasks
-  request.progress_every = 10;
-  request.reply = reply;
-  daemon.inbox().send(SedRequest{request});
-
-  int updates = 0;
-  Count last_done = 0;
-  Seconds last_time = -1.0;
-  for (;;) {
-    const auto response = reply->receive();
-    ASSERT_TRUE(response.has_value());
-    if (const auto* progress = std::get_if<ProgressUpdate>(&*response)) {
-      ++updates;
-      EXPECT_GT(progress->months_done, last_done);   // monotone progress
-      EXPECT_GT(progress->simulated_time, last_time);
-      EXPECT_EQ(progress->months_total, 40);
-      last_done = progress->months_done;
-      last_time = progress->simulated_time;
-      continue;
-    }
-    const auto& exec = std::get<ExecuteResponse>(*response);
-    EXPECT_EQ(exec.mains_executed, 40);
-    break;
-  }
-  EXPECT_EQ(updates, 4);  // 10, 20, 30, 40
-  EXPECT_EQ(last_done, 40);
-  daemon.stop();
-}
-
+// An execute request is answered exactly once, with its completion report.
 TEST(ServerDaemon, NoProgressByDefault) {
   ServerDaemon daemon(0, platform::make_builtin_cluster(0, 25));
   const auto reply = std::make_shared<Mailbox<SedResponse>>();

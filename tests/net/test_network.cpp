@@ -113,6 +113,16 @@ TEST(NetworkParser, ErrorsCarryLineNumbers) {
   EXPECT_NE(message_of("network 2\nlink 0 1 -3 0\n").find("bandwidth"),
             std::string::npos);
   EXPECT_NE(message_of("").find("no 'network"), std::string::npos);
+  // A directive consumes its whole line and a number its whole token.
+  for (const char* text :
+       {"network 2\nintra 0 100 0.01 trailing garbage\n",
+        "network 2\nlink 0 1 100abc 0.1\n", "network 2\nlink 0 1 100 0.1s\n",
+        "network 2\nintra 1.5 100 0.1\n"})
+    EXPECT_NE(message_of(text).find("network:2: "), std::string::npos) << text;
+  EXPECT_NE(message_of("network 2\nlink 0 1 100abc 0.1\n").find("bandwidth"),
+            std::string::npos);
+  EXPECT_NE(message_of("network 2 3\n").find("network:1: "),
+            std::string::npos);
 }
 
 TEST(NetworkParser, WriteParseRoundTripsExactly) {

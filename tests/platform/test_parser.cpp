@@ -4,7 +4,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
+#include "common/parse_error.hpp"
 #include "platform/profiles.hpp"
 
 namespace oagrid::platform {
@@ -48,6 +50,37 @@ TEST(Parser, ErrorsCarryLineNumbers) {
     FAIL();
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("grid:2: "), std::string::npos);
+  }
+  // A directive consumes its whole line and a number its whole token.
+  const std::pair<const char*, int> malformed[] = {
+      {"cluster x\nresources 5\nmain_times 1500 1400 x 1300 1200\n", 3},
+      {"cluster x\nresources 20.7\n", 2},
+      {"cluster x\nresources 20\npost_time 30 extra\n", 3},
+      {"cluster x y\n", 1},
+  };
+  for (const auto& [text, line] : malformed) {
+    try {
+      (void)parse_grid_string(text, "g.txt");
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.source(), "g.txt") << text;
+      EXPECT_EQ(e.line(), line) << text;
+    }
+  }
+}
+
+TEST(Parser, DuplicateClusterNameRejected) {
+  // Failure processes are keyed by cluster name: a repeat would alias them.
+  const std::string body =
+      "resources 20\nmin_group 4\nmain_times 9 8\npost_time 1\n";
+  try {
+    (void)parse_grid_string("cluster a\n" + body + "cluster a\n" + body,
+                            "g.txt");
+    FAIL();
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 6);
+    EXPECT_NE(e.message().find("duplicate cluster name 'a'"),
+              std::string::npos);
   }
 }
 

@@ -104,6 +104,12 @@ TEST(FailureAwareEstimator, RejectsMismatchedModelAndCadence) {
                                      fault::FailureModel(grid.cluster_count()),
                                      0),
                std::invalid_argument);
+  // Processes are found by cluster name, so a repeated name would alias
+  // the second cluster's process onto the first.
+  const platform::Grid aliased({platform::make_builtin_cluster(0, 20),
+                                platform::make_builtin_cluster(0, 20)});
+  EXPECT_THROW(FailureAwareEstimator(analytic, aliased, fault::FailureModel(2)),
+               std::invalid_argument);
 }
 
 TEST(FailureAwareEstimator, ServiceCompletesWithDeadCluster) {

@@ -14,10 +14,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "platform/profiles.hpp"
+#include "service/estimator.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
 
@@ -101,7 +103,8 @@ struct RunResult {
 
 RunResult run_workload(const std::vector<Entry>& entries, QueuePolicy policy,
                        const std::string& dir, bool verify_incremental,
-                       std::size_t estimator_threads = 1) {
+                       std::size_t estimator_threads = 1,
+                       PerfEstimator* estimator = nullptr) {
   ServiceOptions options;
   options.policy = policy;
   options.max_active = 3;
@@ -109,6 +112,7 @@ RunResult run_workload(const std::vector<Entry>& entries, QueuePolicy policy,
   options.journal_dir = dir;
   options.verify_incremental = verify_incremental;
   options.estimator_threads = estimator_threads;
+  options.estimator = estimator;
   CampaignService service(test_grid(), std::move(options));
   for (const Entry& entry : entries)
     (void)service.submit(entry.spec, entry.at);
@@ -172,28 +176,34 @@ TEST(Incremental, MatchesFullRecomputeBitForBit) {
 // Batched estimation fans vectors over the shared pool but folds them in
 // request order, so any thread count must give bit-identical decisions.
 // srmf exercises it hardest: estimates feed the admission order itself.
+// Both concurrent estimators are covered: the closed form and the DES.
 TEST(Incremental, EstimatorThreadCountNeverChangesTheOutcome) {
-  for (std::uint64_t seed = 3; seed <= 6; ++seed) {
-    const std::vector<Entry> entries = random_workload(seed);
-    for (const QueuePolicy policy :
-         {QueuePolicy::kShortestRemaining, QueuePolicy::kWeightedFairShare}) {
-      const std::string tag =
-          std::to_string(seed) + "-" + std::string(to_string(policy));
-      const RunResult serial = run_workload(
-          entries, policy, temp_dir("incr-t1-" + tag), false,
-          /*estimator_threads=*/1);
-      const RunResult parallel = run_workload(
-          entries, policy, temp_dir("incr-t4-" + tag), false,
-          /*estimator_threads=*/4);
-      const RunResult whole_pool = run_workload(
-          entries, policy, temp_dir("incr-t0-" + tag), false,
-          /*estimator_threads=*/0);
-      ASSERT_EQ(serial.finals, parallel.finals) << "seed " << seed;
-      ASSERT_EQ(serial.journal_bytes, parallel.journal_bytes)
-          << "seed " << seed;
-      ASSERT_EQ(serial.finals, whole_pool.finals) << "seed " << seed;
-      ASSERT_EQ(serial.journal_bytes, whole_pool.journal_bytes)
-          << "seed " << seed;
+  AnalyticEstimator analytic;
+  SimEstimator des;
+  const std::pair<const char*, PerfEstimator*> estimators[] = {
+      {"analytic", &analytic}, {"sim", &des}};
+  for (const auto& [name, estimator] : estimators) {
+    for (std::uint64_t seed = 3; seed <= 6; ++seed) {
+      const std::vector<Entry> entries = random_workload(seed);
+      for (const QueuePolicy policy :
+           {QueuePolicy::kShortestRemaining, QueuePolicy::kWeightedFairShare}) {
+        const std::string tag = std::string(name) + "-" +
+                                std::to_string(seed) + "-" +
+                                std::string(to_string(policy));
+        const RunResult serial =
+            run_workload(entries, policy, temp_dir("incr-t1-" + tag), false,
+                         /*estimator_threads=*/1, estimator);
+        const RunResult parallel =
+            run_workload(entries, policy, temp_dir("incr-t4-" + tag), false,
+                         /*estimator_threads=*/4, estimator);
+        const RunResult whole_pool =
+            run_workload(entries, policy, temp_dir("incr-t0-" + tag), false,
+                         /*estimator_threads=*/0, estimator);
+        ASSERT_EQ(serial.finals, parallel.finals) << tag;
+        ASSERT_EQ(serial.journal_bytes, parallel.journal_bytes) << tag;
+        ASSERT_EQ(serial.finals, whole_pool.finals) << tag;
+        ASSERT_EQ(serial.journal_bytes, whole_pool.journal_bytes) << tag;
+      }
     }
   }
 }

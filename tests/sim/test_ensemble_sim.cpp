@@ -236,12 +236,11 @@ TEST(FormulaVsSimulation, AnalyticUpperBoundsSimulationOnRealTables) {
   }
 }
 
-TEST(DispatchRules, LeastAdvancedKeepsScenariosBalanced) {
+TEST(EnsembleSim, LeastAdvancedKeepsScenariosBalanced) {
   const Cluster c = divisible_cluster(12);
   const Ensemble e{4, 6};
   SimOptions opt;
   opt.capture_trace = true;
-  opt.dispatch = DispatchRule::kLeastAdvanced;
   GroupSchedule s;
   s.group_sizes = {4, 4, 4};
   s.post_pool = 0;
@@ -250,39 +249,6 @@ TEST(DispatchRules, LeastAdvancedKeepsScenariosBalanced) {
   // at most 1 — check the final trace supports full completion.
   EXPECT_EQ(r.trace.verify(), "");
   EXPECT_EQ(r.mains_executed, 24);
-}
-
-TEST(DispatchRules, AllRulesCompleteTheWorkload) {
-  const Cluster c = divisible_cluster(17);
-  const Ensemble e{3, 5};
-  for (const auto rule : {DispatchRule::kLeastAdvanced, DispatchRule::kRoundRobin,
-                          DispatchRule::kFifo}) {
-    SimOptions opt;
-    opt.dispatch = rule;
-    opt.capture_trace = true;
-    const SimResult r = simulate_ensemble(c, uniform_schedule(c, e, 5), e, opt);
-    EXPECT_EQ(r.mains_executed, 15) << to_string(rule);
-    EXPECT_EQ(r.posts_executed, 15) << to_string(rule);
-    EXPECT_EQ(r.trace.verify(), "") << to_string(rule);
-  }
-}
-
-TEST(DispatchRules, UniformGroupsMakeRulesEquivalent) {
-  // With identical groups and synchronized sets, all three rules produce the
-  // same makespan (they only permute scenario identities).
-  const Cluster c = divisible_cluster(26);
-  const Ensemble e{5, 8};
-  Seconds makespans[3];
-  int i = 0;
-  for (const auto rule : {DispatchRule::kLeastAdvanced, DispatchRule::kRoundRobin,
-                          DispatchRule::kFifo}) {
-    SimOptions opt;
-    opt.dispatch = rule;
-    makespans[i++] =
-        simulate_ensemble(c, uniform_schedule(c, e, 5), e, opt).makespan;
-  }
-  EXPECT_DOUBLE_EQ(makespans[0], makespans[1]);
-  EXPECT_DOUBLE_EQ(makespans[0], makespans[2]);
 }
 
 TEST(EnsembleSim, InvalidScheduleRejected) {

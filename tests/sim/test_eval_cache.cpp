@@ -57,10 +57,6 @@ TEST(EvalKey, DistinguishesPartitionMonthsPolicyAndPool) {
   other = schedule;
   other.post_policy = sched::PostPolicy::kAllAtEnd;
   EXPECT_NE(base, sim::make_eval_key(cluster, other, ensemble));
-
-  sim::SimOptions options;
-  options.dispatch = sim::DispatchRule::kRoundRobin;
-  EXPECT_NE(base, sim::make_eval_key(cluster, schedule, ensemble, options));
 }
 
 TEST(EvalKey, RestartHandoffKeys) {

@@ -107,7 +107,6 @@ TEST(RandomizedProperties, TraceInvariantsOnRandomPlatforms) {
     const Ensemble ensemble{rng.uniform_int(2, 6), rng.uniform_int(2, 8)};
     SimOptions options;
     options.capture_trace = true;
-    options.dispatch = static_cast<DispatchRule>(rng.uniform_int(0, 2));
     const SimResult result = simulate_with_heuristic(
         grid.cluster(0), sched::Heuristic::kKnapsack, ensemble, options);
     EXPECT_EQ(result.trace.verify(), "") << "trial " << trial;

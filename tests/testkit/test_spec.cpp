@@ -60,7 +60,6 @@ TEST(CaseSpec, ClampPullsEveryKnobIntoRange) {
   spec.checkpoint_months = 0;
   spec.recovery = 9;
   spec.heuristic = -1;
-  spec.dispatch = 5;
   spec.campaigns = -2;
   spec.kills = 100;
   spec.snapshot_every = -4;
@@ -74,7 +73,6 @@ TEST(CaseSpec, ClampPullsEveryKnobIntoRange) {
   EXPECT_EQ(spec.checkpoint_months, 1);
   EXPECT_EQ(spec.recovery, 2);
   EXPECT_EQ(spec.heuristic, 0);
-  EXPECT_EQ(spec.dispatch, 2);
   EXPECT_EQ(spec.campaigns, 0);
   EXPECT_EQ(spec.kills, 3);
   EXPECT_EQ(spec.snapshot_every, 0);
@@ -124,7 +122,6 @@ TEST(CaseSpec, MinimalSpecHasNoCandidates) {
   spec.checkpoint_months = 1;
   spec.recovery = 0;
   spec.heuristic = 0;
-  spec.dispatch = 0;
   spec.campaigns = 0;
   spec.kills = 0;
   spec.group_commit = false;

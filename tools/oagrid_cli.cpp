@@ -794,8 +794,7 @@ int cmd_serve(const std::vector<std::string>& argv) {
       .add_option("grid-file", "platform description file", "")
       .add_option("policy", "queue policy: fifo | fair | srmf", "fair")
       .add_option("heuristic", "grouping heuristic", "knapsack")
-      .add_option("estimator",
-                  "performance backend: analytic | sim | middleware",
+      .add_option("estimator", "performance backend: analytic | sim",
                   "analytic")
       .add_option("max-active", "concurrently running tenants", "4")
       .add_option("queue-capacity", "admission-control queue bound", "64")
@@ -845,11 +844,9 @@ int cmd_serve(const std::vector<std::string>& argv) {
   std::unique_ptr<service::PerfEstimator> estimator;
   if (const std::string name = args.get("estimator"); name == "sim")
     estimator = std::make_unique<service::SimEstimator>();
-  else if (name == "middleware")
-    estimator = std::make_unique<service::MiddlewareEstimator>();
   else if (name != "analytic")
     throw std::invalid_argument("unknown estimator '" + name +
-                                "' (analytic | sim | middleware)");
+                                "' (analytic | sim)");
   options.estimator = estimator.get();
 
   const auto failure_model = fault_model_from(args, grid.cluster_count());
