@@ -1,13 +1,17 @@
 #include "sim/ensemble_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <limits>
+#include <cstdint>
+#include <functional>
+#include <numeric>
 
 #include "common/rng.hpp"
 #include "fault/checkpoint.hpp"
 #include "obs/obs.hpp"
 #include "sim/calendar.hpp"
+#include "sim/post_pool.hpp"
 
 namespace oagrid::sim {
 namespace {
@@ -27,6 +31,7 @@ struct Group {
   bool down = false;              ///< node set currently unavailable
   std::uint32_t epoch = 0;        ///< bumped per outage; stales kMainDone
   Seconds pending_repair = 0.0;   ///< duration of the scheduled next outage
+  std::size_t rank = 0;  ///< position in (main time, index) order
 };
 
 struct Scenario {
@@ -37,47 +42,16 @@ struct Scenario {
   bool needs_staging = false;  ///< migrate-with-state: next month re-stages
 };
 
-struct PostTask {
-  ScenarioId scenario = 0;
-  MonthIndex month = 0;
-};
-
-/// FIFO queue over a growable flat buffer: O(1) amortized push/pop with no
-/// per-element allocation (std::deque allocates a fresh chunk every ~128
-/// elements, which shows up at per-month frequency). The consumed prefix is
-/// reclaimed lazily once it dominates the buffer.
-template <typename T>
-class FlatQueue {
- public:
-  void reserve(std::size_t n) { buf_.reserve(n); }
-  [[nodiscard]] bool empty() const noexcept { return head_ == buf_.size(); }
-  void push(T value) { buf_.push_back(std::move(value)); }
-  T pop() {
-    T value = std::move(buf_[head_++]);
-    if (head_ == buf_.size()) {
-      buf_.clear();
-      head_ = 0;
-    } else if (head_ >= 1024 && head_ * 2 >= buf_.size()) {
-      buf_.erase(buf_.begin(),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-    return value;
-  }
-
- private:
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-};
-
-/// The simulator's entire event vocabulary: a main/post task finishing, or a
-/// node set failing / coming back. Plain struct — scheduling one is a push
-/// into the calendar's flat heap, not a std::function allocation.
+/// The calendar's event vocabulary: a main task finishing, or a node set
+/// failing / coming back. Posts never feed back into main dispatch, so they
+/// are resolved off the calendar (sim/post_pool.hpp). Plain struct —
+/// scheduling one is a push into the calendar's flat heap, not a
+/// std::function allocation.
 struct SimEvent {
-  enum class Kind : std::uint8_t { kMainDone, kPostDone, kNodeDown, kNodeUp };
+  enum class Kind : std::uint8_t { kMainDone, kNodeDown, kNodeUp };
   Kind kind = Kind::kMainDone;
   bool failed = false;
-  int unit = 0;  ///< group index (kMainDone) or post worker id (kPostDone)
+  int unit = 0;  ///< group index
   ScenarioId scenario = 0;
   MonthIndex month = 0;
   /// Group epoch at schedule time; a kMainDone whose epoch no longer matches
@@ -96,6 +70,7 @@ class EnsembleSimulation {
         months_(static_cast<MonthIndex>(ensemble.months)),
         options_(options),
         rng_(options.perturbation.seed),
+        post_rng_(Rng(options.perturbation.seed).split()),
         fault_active_(options.fault.active()) {
     ensemble.validate();
     OAGRID_REQUIRE(options.restart_handoff >= 0.0,
@@ -107,18 +82,33 @@ class EnsembleSimulation {
                      "migration staging must be >= 0");
     }
     schedule_.validate(cluster_);
-    groups_.reserve(schedule_.group_sizes.size());
+    const std::size_t group_count = schedule_.group_sizes.size();
+    groups_.reserve(group_count);
     for (const ProcCount size : schedule_.group_sizes)
       groups_.push_back(Group{size, cluster_.main_time(size), false, false, 0.0});
+    // Idle groups are a bitset in (main time, index) order, so the fastest
+    // idle group is the first set bit.
+    by_rank_.resize(group_count);
+    std::iota(by_rank_.begin(), by_rank_.end(), 0);
+    std::stable_sort(by_rank_.begin(), by_rank_.end(), [this](int a, int b) {
+      return groups_[static_cast<std::size_t>(a)].main_time <
+             groups_[static_cast<std::size_t>(b)].main_time;
+    });
+    idle_.assign((group_count + 63) / 64, 0);
+    for (std::size_t r = 0; r < group_count; ++r) {
+      groups_[static_cast<std::size_t>(by_rank_[r])].rank = r;
+      refresh_idle(by_rank_[r]);
+    }
     scenarios_.resize(static_cast<std::size_t>(ensemble.scenarios));
-    // Pending events never exceed one per busy unit: groups plus however
-    // many post workers the policy can create (bounded by the cluster).
-    calendar_.reserve(groups_.size() +
-                      static_cast<std::size_t>(cluster_.resources()) + 4);
-    free_workers_.reserve(static_cast<std::size_t>(cluster_.resources()) + 4);
-    for (ProcCount w = 0; w < schedule_.post_pool; ++w)
-      free_workers_.push(next_worker_id_++);
-    posts_enabled_ = schedule_.post_policy == sched::PostPolicy::kPoolThenRetired;
+    ready_.reserve(scenarios_.size());
+    for (ScenarioId s = 0; s < scenario_count(); ++s) offer(s);
+    // Pending events: a main and an outage or repair per group, plus the
+    // stale completions of killed mains until their times pass.
+    calendar_.reserve(2 * group_count + 4);
+    // Every worker that ever joins is a processor of the cluster.
+    posts_.reserve(static_cast<std::size_t>(cluster_.resources()));
+    if (schedule_.post_policy == sched::PostPolicy::kPoolThenRetired)
+      posts_.join(0.0, schedule_.post_pool);
     if (options_.capture_trace) {
       result_.trace.reserve(2 * static_cast<std::size_t>(total_months()));
       result_.trace.group_sizes = schedule_.group_sizes;
@@ -153,9 +143,6 @@ class EnsembleSimulation {
           finish_main(event.unit, event.scenario, event.month, event.failed,
                       event.epoch);
           break;
-        case SimEvent::Kind::kPostDone:
-          finish_post(event.unit);
-          break;
         case SimEvent::Kind::kNodeDown:
           handle_node_down(event.unit);
           break;
@@ -163,7 +150,10 @@ class EnsembleSimulation {
           handle_node_up(event.unit);
           break;
       }
+      settle_posts(calendar_.now());
     }
+    // The last calendar event has passed, so no worker joins any more.
+    settle_posts(kInfiniteTime);
     result_.events = executed;
     result_.makespan = std::max(result_.main_phase_end, last_post_end_);
     // Every node set died for good with months still pending: the campaign
@@ -252,32 +242,73 @@ class EnsembleSimulation {
     return !sc.running && sc.pinned_group < 0 && sc.months_dispatched < months_;
   }
 
-  /// The least-advanced available scenario (fewest completed months, then
-  /// lowest id; paper §4.3); -1 when none is available.
-  ScenarioId pick_scenario() const {
-    ScenarioId best = -1;
-    for (ScenarioId s = 0; s < scenario_count(); ++s) {
-      if (!scenario_available(s)) continue;
-      if (best < 0 ||
-          scenarios_[static_cast<std::size_t>(s)].months_done <
-              scenarios_[static_cast<std::size_t>(best)].months_done)
-        best = s;
-    }
-    return best;
+  /// Offers scenario s to the least-advanced heap if it can take a month
+  /// now. The heap holds each available scenario exactly once, keyed
+  /// (months_done, id): a scenario's months_done only changes while it
+  /// runs, so a key never goes stale.
+  void offer(ScenarioId s) {
+    if (!scenario_available(s)) return;
+    const auto done = static_cast<std::uint64_t>(
+        scenarios_[static_cast<std::size_t>(s)].months_done);
+    ready_.push_back(done << 32 | static_cast<std::uint32_t>(s));
+    std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
   }
 
-  /// Fastest idle non-retired non-down group (smallest main time, then
-  /// index); -1 when every group is busy, retired or down.
-  int pick_idle_group() const {
-    int best = -1;
-    for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
+  /// Removes and returns the least-advanced available scenario (fewest
+  /// completed months, then lowest id; paper §4.3). Precondition: one is.
+  ScenarioId take_least_advanced() {
+    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
+    const auto s = static_cast<ScenarioId>(ready_.back() & 0xFFFFFFFFu);
+    ready_.pop_back();
+    return s;
+  }
+
+  /// Re-derives group g's bit in the idle set (idle = not busy, retired or
+  /// down); called at every one of those transitions.
+  void refresh_idle(int g) {
+    const Group& group = groups_[static_cast<std::size_t>(g)];
+    const std::uint64_t bit = std::uint64_t{1} << (group.rank % 64);
+    std::uint64_t& word = idle_[group.rank / 64];
+    if (group.busy || group.retired || group.down)
+      word &= ~bit;
+    else
+      word |= bit;
+  }
+
+  /// Fastest idle group (smallest main time, then index); -1 when every
+  /// group is busy, retired or down.
+  int first_idle_group() const {
+    for (std::size_t w = 0; w < idle_.size(); ++w)
+      if (idle_[w] != 0)
+        return by_rank_[w * 64 + static_cast<std::size_t>(
+                                     std::countr_zero(idle_[w]))];
+    return -1;
+  }
+
+  void unpin(Scenario& sc) {
+    sc.pinned_group = -1;
+    --pinned_;
+  }
+
+  /// Resumes every pinned scenario (wait-for-repair) whose own group is
+  /// idle; true when one started.
+  bool resume_pinned() {
+    bool started = false;
+    for (ScenarioId s = 0; s < scenario_count(); ++s) {
+      Scenario& sc = scenarios_[static_cast<std::size_t>(s)];
+      if (sc.pinned_group < 0 || sc.running) continue;
+      if (sc.months_dispatched >= months_) {
+        unpin(sc);
+        continue;
+      }
+      const int g = sc.pinned_group;
       const Group& group = groups_[static_cast<std::size_t>(g)];
       if (group.busy || group.retired || group.down) continue;
-      if (best < 0 ||
-          group.main_time < groups_[static_cast<std::size_t>(best)].main_time)
-        best = g;
+      unpin(sc);  // the pin covers one resumption, not forever
+      start_main(g, s);
+      started = true;
     }
-    return best;
+    return started;
   }
 
   /// Pairs available scenarios with idle groups until neither remains.
@@ -286,36 +317,22 @@ class EnsembleSimulation {
     // resume on their own group before the shared pool is served; keep
     // alternating until a full round makes no progress.
     for (bool progress = true; progress;) {
-      progress = false;
-      for (ScenarioId s = 0; fault_active_ && s < scenario_count(); ++s) {
-        Scenario& sc = scenarios_[static_cast<std::size_t>(s)];
-        if (sc.pinned_group < 0 || sc.running) continue;
-        if (sc.months_dispatched >= months_) {
-          sc.pinned_group = -1;
-          continue;
-        }
-        const int g = sc.pinned_group;
-        const Group& group = groups_[static_cast<std::size_t>(g)];
-        if (group.busy || group.retired || group.down) continue;
-        sc.pinned_group = -1;  // the pin covers one resumption, not forever
-        start_main(g, s);
-        progress = true;
-      }
-      const int g = pick_idle_group();
-      const ScenarioId s = g >= 0 ? pick_scenario() : -1;
-      if (s >= 0) {
-        start_main(g, s);
+      progress = pinned_ > 0 && resume_pinned();
+      const int g = first_idle_group();
+      if (g >= 0 && !ready_.empty()) {
+        start_main(g, take_least_advanced());
         progress = true;
       }
     }
     maybe_retire_idle_groups();
   }
 
-  /// Applies the multiplicative duration jitter (1.0 when inactive).
-  Seconds jittered(Seconds base) {
+  /// Applies the multiplicative duration jitter (1.0 when inactive),
+  /// drawing from `rng`.
+  Seconds jittered(Rng& rng, Seconds base) const {
     const double sigma = options_.perturbation.duration_jitter;
     if (sigma <= 0.0) return base;
-    return base * std::exp(rng_.normal(0.0, sigma));
+    return base * std::exp(rng.normal(0.0, sigma));
   }
 
   void start_main(int g, ScenarioId s) {
@@ -326,9 +343,10 @@ class EnsembleSimulation {
     ++months_dispatched_total_;
     scenario.running = true;
     group.busy = true;
+    refresh_idle(g);
     // Months after the first stall on the restart hand-off before compute
     // starts; the group is occupied (busy, not retirable) while it waits.
-    Seconds duration = jittered(group.main_time) +
+    Seconds duration = jittered(rng_, group.main_time) +
                        (month > 0 ? options_.restart_handoff : 0.0);
     if (fault_active_ && scenario.needs_staging) {
       // Migrate-with-state: the first month after a migration re-stages the
@@ -360,6 +378,7 @@ class EnsembleSimulation {
     // time invalidates it).
     if (fault_active_ && epoch != group.epoch) return;
     group.busy = false;
+    refresh_idle(g);
     scenario.running = false;
     const std::size_t entry = result_.trace.entries().size();
     if (options_.capture_trace)
@@ -387,59 +406,49 @@ class EnsembleSimulation {
         if (options_.capture_trace)
           done_entries_[static_cast<std::size_t>(s)].push_back(entry);
       }
-      post_queue_.push(PostTask{s, month});
+      posts_.arrive(s, month, calendar_.now());
     }
+    offer(s);
 
-    if (months_done_total_ == total_months()) on_all_mains_done();
+    if (months_done_total_ == total_months() &&
+        schedule_.post_policy == sched::PostPolicy::kAllAtEnd) {
+      // The whole cluster, the pool's processors among them, turns into
+      // post workers (paper's Improvement 2: "leave all the post-processing
+      // at the end").
+      posts_.join(calendar_.now(), cluster_.resources());
+    }
     dispatch_mains();
-    dispatch_posts();
-  }
-
-  void on_all_mains_done() {
-    if (schedule_.post_policy == sched::PostPolicy::kAllAtEnd) {
-      posts_enabled_ = true;
-      // The whole cluster turns into post workers (paper's Improvement 2:
-      // "leave all the post-processing at the end").
-      for (ProcCount w = 0; w < cluster_.resources(); ++w)
-        free_workers_.push(next_worker_id_++);
-    }
   }
 
   void maybe_retire_idle_groups() {
     if (months_dispatched_total_ < total_months()) return;
-    for (auto& group : groups_) {
+    for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
+      Group& group = groups_[static_cast<std::size_t>(g)];
       // A down group cannot retire: its processors are unavailable, not
       // idle, and a rewind may still need it after repair.
       if (group.busy || group.retired || group.down) continue;
       group.retired = true;
+      refresh_idle(g);
       if (schedule_.post_policy == sched::PostPolicy::kPoolThenRetired)
-        for (ProcCount w = 0; w < group.size; ++w)
-          free_workers_.push(next_worker_id_++);
-    }
-    dispatch_posts();
-  }
-
-  void dispatch_posts() {
-    if (!posts_enabled_) return;
-    while (!post_queue_.empty() && !free_workers_.empty()) {
-      const PostTask post = post_queue_.pop();
-      const int worker = free_workers_.pop();
-      const Seconds start = calendar_.now();
-      const Seconds end = start + jittered(cluster_.post_time());
-      // A post always completes, so it is recorded at dispatch.
-      if (options_.capture_trace)
-        result_.trace.record(TraceEntry{UnitKind::kPostWorker, worker,
-                                        post.scenario, post.month, start, end});
-      calendar_.schedule(
-          end, SimEvent{SimEvent::Kind::kPostDone, false, worker, 0, 0});
+        posts_.join(calendar_.now(), group.size);
     }
   }
 
-  void finish_post(int worker) {
-    ++result_.posts_executed;
-    last_post_end_ = std::max(last_post_end_, calendar_.now());
-    free_workers_.push(worker);
-    dispatch_posts();
+  /// Settles every post that starts at or before `now`. A post always
+  /// completes, so it is counted and recorded when settled. Post jitter has
+  /// its own stream, drawn in arrival order, so no main draw depends on the
+  /// post pool.
+  void settle_posts(Seconds now) {
+    posts_.resolve(
+        now, [this] { return jittered(post_rng_, cluster_.post_time()); },
+        [this](const PostPool::Resolved& post) {
+          ++result_.posts_executed;
+          last_post_end_ = std::max(last_post_end_, post.end);
+          if (options_.capture_trace)
+            result_.trace.record(TraceEntry{UnitKind::kPostWorker, post.worker,
+                                            post.scenario, post.month,
+                                            post.start, post.end});
+        });
   }
 
   /// Draws the group's next outage window at-or-after `t` and schedules its
@@ -462,6 +471,7 @@ class EnsembleSimulation {
     ++result_.fault.outages;
     ++group.epoch;  // invalidates any in-flight kMainDone for this group
     group.down = true;
+    refresh_idle(g);
     const Seconds repair = group.pending_repair;
     const bool permanent = repair >= kInfiniteTime;
     if (!permanent) result_.fault.downtime_seconds += repair;
@@ -469,8 +479,12 @@ class EnsembleSimulation {
     if (permanent) {
       // The node set never comes back; release any scenario waiting on it
       // so wait-for-repair cannot deadlock on dead hardware.
-      for (Scenario& sc : scenarios_)
-        if (sc.pinned_group == g) sc.pinned_group = -1;
+      for (ScenarioId s = 0; s < scenario_count(); ++s) {
+        Scenario& sc = scenarios_[static_cast<std::size_t>(s)];
+        if (sc.pinned_group != g) continue;
+        unpin(sc);
+        offer(s);
+      }
     } else {
       calendar_.schedule(
           calendar_.now() + repair,
@@ -483,6 +497,7 @@ class EnsembleSimulation {
   void handle_node_up(int g) {
     Group& group = groups_[static_cast<std::size_t>(g)];
     group.down = false;
+    refresh_idle(g);
     if (!group.retired && months_done_total_ < total_months())
       schedule_next_outage(g, calendar_.now());
     dispatch_mains();
@@ -540,6 +555,7 @@ class EnsembleSimulation {
     switch (options_.fault.recovery) {
       case fault::RecoveryPolicy::kWaitForRepair:
         scenario.pinned_group = g;
+        ++pinned_;
         break;
       case fault::RecoveryPolicy::kRescheduleInCluster:
         break;
@@ -547,17 +563,23 @@ class EnsembleSimulation {
         scenario.needs_staging = true;
         break;
     }
+    offer(s);
   }
 
   const platform::Cluster& cluster_;
   const sched::GroupSchedule& schedule_;
   const MonthIndex months_;  ///< NM: every scenario runs this many months
   SimOptions options_;
-  Rng rng_;
+  Rng rng_;       ///< main jitter and task failures, in dispatch order
+  Rng post_rng_;  ///< post jitter, in post arrival order
 
   Calendar<SimEvent> calendar_;
   std::vector<Group> groups_;
   std::vector<Scenario> scenarios_;
+  std::vector<int> by_rank_;          ///< group indexes in (main time, index)
+  std::vector<std::uint64_t> idle_;   ///< idle bit per rank
+  std::vector<std::uint64_t> ready_;  ///< min-heap of (months_done, id)
+  int pinned_ = 0;                    ///< scenarios waiting for their group
 
   Count months_dispatched_total_ = 0;
   Count months_done_total_ = 0;
@@ -572,10 +594,7 @@ class EnsembleSimulation {
   /// rewound. Maintained only under fault injection with capture_trace.
   std::vector<std::vector<std::size_t>> done_entries_;
 
-  FlatQueue<PostTask> post_queue_;
-  FlatQueue<int> free_workers_;
-  int next_worker_id_ = 0;
-  bool posts_enabled_ = false;
+  PostPool posts_;
   Seconds last_post_end_ = 0.0;
 
   SimResult result_;

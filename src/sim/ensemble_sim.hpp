@@ -9,7 +9,11 @@
 /// according to the schedule's PostPolicy:
 ///  * kPoolThenRetired — on the dedicated pool at any time, plus on the
 ///    processors of groups that have run their last main task;
-///  * kAllAtEnd — only after every main task finished, on the whole cluster.
+///  * kAllAtEnd — only after every main task finished, on the whole cluster
+///    (the pool's processors among them).
+/// The event calendar carries mains and node faults only; posts feed
+/// nothing back into main dispatch, so they are resolved off the calendar
+/// as a FIFO multi-server queue (sim/post_pool.hpp).
 ///
 /// The simulator is exact and deterministic; the closed-form model of
 /// makespan_model.hpp is validated against it.
@@ -31,7 +35,9 @@ namespace oagrid::sim {
 /// multiplied by a log-normal-ish factor exp(N(0, jitter)), and each main
 /// task independently fails with `failure_probability` (the month's output
 /// is lost and the month re-runs — the restart-file recovery of the real
-/// application). All draws are deterministic in `seed`.
+/// application). All draws are deterministic in `seed`: mains draw from the
+/// seed's stream in dispatch order, posts from its first split() child in
+/// arrival order, so no main draw depends on the post pool.
 struct PerturbationModel {
   double duration_jitter = 0.0;      ///< stddev of ln(duration factor)
   double failure_probability = 0.0;  ///< per main-task execution
@@ -91,6 +97,7 @@ struct SimResult {
   Count mains_executed = 0;  ///< successful completions, later rewinds too
   Count posts_executed = 0;
   Count retries = 0;  ///< failed main executions that had to re-run
+  /// Calendar events executed: main completions, outages and repairs.
   std::size_t events = 0;
   /// Busy processor-seconds of the groups over makespan * allocated procs.
   double group_utilization = 0.0;

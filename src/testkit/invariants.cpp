@@ -7,8 +7,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -27,9 +29,11 @@
 #include "sched/repartition.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
+#include "sim/calendar.hpp"
 #include "sim/eval_cache.hpp"
 #include "sim/exporters.hpp"
 #include "sim/grid_sim.hpp"
+#include "sim/post_pool.hpp"
 
 namespace oagrid::testkit {
 namespace {
@@ -514,6 +518,158 @@ Verdict check_trace_export_verifies(const Case& world) {
   return for_each_fault_run(world, trace_export_of);
 }
 
+// --- the off-calendar post resolver equals a calendar-driven pool -----------
+
+/// One step of a post-pool workload: `count` workers join at `t`, or a post
+/// arrives at `t` and runs for `duration`.
+struct PoolStep {
+  bool join = false;
+  Seconds t = 0.0;
+  ProcCount count = 0;
+  Seconds duration = 0.0;
+};
+
+/// A seeded workload with what a FIFO pool finds hard: joins and arrivals
+/// at equal times, bursts larger than the pool, late joins (possibly none
+/// at all) and jittered durations.
+std::vector<PoolStep> random_pool_steps(const CaseSpec& spec) {
+  Rng rng(spec.seed ^ 0x706F7374706F6F6Cull);  // distinct stream
+  const Seconds base = rng.uniform(5.0, 50.0);
+  const double jitter = rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.05, 0.6);
+  const auto duration = [&] {
+    return jitter > 0.0 ? base * std::exp(rng.normal(0.0, jitter)) : base;
+  };
+  std::vector<PoolStep> steps;
+  const auto pool = static_cast<ProcCount>(rng.uniform_int(0, 4));
+  if (pool > 0) steps.push_back({true, 0.0, pool, 0.0});
+  Seconds t = 0.0;
+  const Count arrivals = 4 * spec.scenarios * spec.months;
+  for (Count a = 0; a < arrivals;) {
+    if (rng.uniform() < 0.6) t += rng.uniform(0.0, base);
+    if (rng.uniform() < 0.1) {
+      steps.push_back(
+          {true, t, static_cast<ProcCount>(rng.uniform_int(1, 4)), 0.0});
+      continue;
+    }
+    const Count burst = rng.uniform() < 0.15 ? rng.uniform_int(2, 12) : 1;
+    for (Count b = 0; b < burst && a < arrivals; ++b, ++a)
+      steps.push_back({false, t, 0, duration()});
+  }
+  if (rng.uniform() < 0.5)
+    steps.push_back({true, t + rng.uniform(0.0, 4.0 * base),
+                     static_cast<ProcCount>(rng.uniform_int(1, 6)), 0.0});
+  return steps;
+}
+
+struct PostTimes {
+  std::vector<Seconds> start, end;  ///< by arrival index; NaN = never ran
+};
+
+/// The reference: the calendar-driven pool the simulator used before posts
+/// left its calendar. A FIFO free list of workers, a FIFO queue of posts,
+/// and a completion event per dispatched post.
+PostTimes calendar_pool(const std::vector<PoolStep>& steps,
+                        std::size_t arrivals) {
+  struct Event {
+    int step = -1;    ///< index into steps, or -1 for a completion
+    int worker = 0;   ///< the worker a completion frees
+  };
+  const Seconds unset = std::numeric_limits<Seconds>::quiet_NaN();
+  PostTimes times{std::vector<Seconds>(arrivals, unset),
+                  std::vector<Seconds>(arrivals, unset)};
+  sim::Calendar<Event> calendar;
+  for (std::size_t i = 0; i < steps.size(); ++i)
+    calendar.schedule(steps[i].t, Event{static_cast<int>(i), 0});
+  std::deque<std::size_t> queue;  // post arrival indexes
+  std::deque<int> free_workers;
+  std::vector<Seconds> durations;
+  int next_worker = 0;
+  while (!calendar.empty()) {
+    const Event event = calendar.pop();
+    if (event.step < 0) {
+      free_workers.push_back(event.worker);
+    } else if (const PoolStep& step = steps[static_cast<std::size_t>(event.step)];
+               step.join) {
+      for (ProcCount w = 0; w < step.count; ++w)
+        free_workers.push_back(next_worker++);
+    } else {
+      queue.push_back(durations.size());
+      durations.push_back(step.duration);
+    }
+    while (!queue.empty() && !free_workers.empty()) {
+      const std::size_t post = queue.front();
+      queue.pop_front();
+      const int worker = free_workers.front();
+      free_workers.pop_front();
+      times.start[post] = calendar.now();
+      times.end[post] = calendar.now() + durations[post];
+      calendar.schedule(times.end[post], Event{-1, worker});
+    }
+  }
+  return times;
+}
+
+Verdict check_post_resolver_identity(const Case& world) {
+  const std::vector<PoolStep> steps = random_pool_steps(world.spec);
+  std::vector<Seconds> durations;
+  for (const PoolStep& step : steps)
+    if (!step.join) durations.push_back(step.duration);
+  const PostTimes expected = calendar_pool(steps, durations.size());
+
+  const Seconds unset = std::numeric_limits<Seconds>::quiet_NaN();
+  PostTimes got{std::vector<Seconds>(durations.size(), unset),
+                std::vector<Seconds>(durations.size(), unset)};
+  sim::PostPool pool;
+  std::size_t drawn = 0;
+  const auto settle = [&](Seconds now) {
+    pool.resolve(
+        now, [&] { return durations[drawn++]; },
+        [&](const sim::PostPool::Resolved& post) {
+          const auto k = static_cast<std::size_t>(post.scenario);
+          got.start[k] = post.start;
+          got.end[k] = post.end;
+        });
+  };
+  // Resolve after every arrival, as the contract requires, but only after
+  // some joins: a late resolve must not change an answer.
+  Rng lazy(world.spec.seed ^ 0x6C617A79ull);
+  ScenarioId next = 0;
+  for (const PoolStep& step : steps) {
+    if (step.join) {
+      pool.join(step.t, step.count);
+      if (lazy.uniform() < 0.5) continue;
+    } else {
+      pool.arrive(next++, 0, step.t);
+    }
+    settle(step.t);
+  }
+  settle(kInfiniteTime);
+
+  Seconds expected_last = 0.0, got_last = 0.0;
+  std::size_t ran_count = 0;
+  for (std::size_t k = 0; k < durations.size(); ++k) {
+    const bool ran = !std::isnan(expected.start[k]);
+    if (ran != !std::isnan(got.start[k]))
+      return fail("post ", k, ran ? " ran on the calendar pool only"
+                                  : " ran on the resolver only");
+    if (!ran) continue;
+    ++ran_count;
+    if (got.start[k] != expected.start[k] || got.end[k] != expected.end[k])
+      return fail("post ", k, ": resolver [", got.start[k], ", ", got.end[k],
+                  "] != calendar pool [", expected.start[k], ", ",
+                  expected.end[k], "]");
+    expected_last = std::max(expected_last, expected.end[k]);
+    got_last = std::max(got_last, got.end[k]);
+  }
+  if (got_last != expected_last)
+    return fail("last post end ", got_last, " != calendar pool's ",
+                expected_last);
+  if (drawn != ran_count)
+    return fail("resolver drew ", drawn, " durations for ", ran_count,
+                " posts that ran");
+  return std::nullopt;
+}
+
 // --- repartition: greedy, charged-greedy and brute force agree ---------------
 
 Verdict check_repartition_consistency(const Case& world) {
@@ -762,6 +918,10 @@ const std::vector<Invariant>& all_invariants() {
        "under kills, rewinds and retries the DES trace verifies, counts every "
        "outcome, and its Chrome export reads back exact and overlap-free",
        check_trace_export_verifies},
+      {"post-resolver-identity",
+       "the off-calendar post resolver gives every post the start and end of "
+       "a calendar-driven FIFO pool, bit for bit",
+       check_post_resolver_identity},
       {"knapsack-family-identity",
        "every solution extracted by solve_dp_family is bit-identical to an "
        "independent solve_dp at that cardinality cap",

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "platform/profiles.hpp"
 #include "sched/makespan_model.hpp"
 
@@ -89,6 +93,115 @@ TEST(EnsembleSim, AllAtEndDefersEveryPost) {
   for (const auto& entry : r.trace.entries()) {
     if (entry.unit_kind == UnitKind::kPostWorker) {
       EXPECT_GE(entry.start, r.main_phase_end - 1e-9);
+    }
+  }
+}
+
+TEST(EnsembleSim, AllAtEndRunsPostsOnTheClusterOnly) {
+  // Improvement 2 gives every processor to the groups and runs the posts at
+  // the end on the whole cluster. A dedicated pool's processors are part of
+  // that cluster, not extra ones.
+  const Cluster c = platform::make_builtin_cluster(1, 16);
+  const Ensemble e{2, 40};
+  GroupSchedule s;
+  s.group_sizes = {4, 4};
+  s.post_policy = PostPolicy::kAllAtEnd;
+  SimOptions opt;
+  opt.capture_trace = true;
+  s.post_pool = 0;
+  const SimResult without_pool = simulate_ensemble(c, s, e, opt);
+  s.post_pool = 8;
+  const SimResult with_pool = simulate_ensemble(c, s, e, opt);
+  EXPECT_EQ(with_pool.makespan, without_pool.makespan);
+  EXPECT_EQ(with_pool.trace.verify(), "");
+  // Sweep the post intervals: an end at t frees its processor for a start
+  // at t, so ends sort first.
+  std::vector<std::pair<Seconds, int>> edges;
+  for (const auto& entry : with_pool.trace.entries()) {
+    if (entry.unit_kind != UnitKind::kPostWorker) continue;
+    edges.emplace_back(entry.start, 1);
+    edges.emplace_back(entry.end, -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  int running = 0;
+  int peak = 0;
+  for (const auto& [t, delta] : edges) peak = std::max(peak, running += delta);
+  EXPECT_EQ(peak, c.resources());
+}
+
+TEST(EnsembleSim, MainsNeverDependOnThePostPool) {
+  // Posts are sinks: two clusters with the same main times but different
+  // post times, run with different post pools and policies, execute the
+  // same mains, with jitter and task failures on and under node failures.
+  const Cluster base = platform::make_builtin_cluster(2, 40);
+  const std::vector<Seconds> tg(base.main_times().begin(),
+                                base.main_times().end());
+  const Cluster fast_posts("fast", 40, base.min_group(), tg, 60.0);
+  const Cluster slow_posts("slow", 40, base.min_group(), tg, 2400.0);
+  const Ensemble e{5, 14};
+  GroupSchedule pooled;
+  pooled.group_sizes = {9, 7, 5, 5, 4};
+  pooled.post_pool = 10;
+  pooled.post_policy = PostPolicy::kPoolThenRetired;
+  GroupSchedule at_end = pooled;
+  at_end.post_pool = 0;
+  at_end.post_policy = PostPolicy::kAllAtEnd;
+  const auto model = fault::FailureModel::uniform_exponential(
+      1, 6.0 * base.main_time(4), base.main_time(4), 5);
+
+  std::vector<SimOptions> variants;
+  SimOptions perturbed;
+  perturbed.capture_trace = true;
+  perturbed.perturbation.duration_jitter = 0.15;
+  perturbed.perturbation.failure_probability = 0.1;
+  perturbed.perturbation.seed = 23;
+  variants.push_back(perturbed);
+  for (const auto recovery : {fault::RecoveryPolicy::kWaitForRepair,
+                              fault::RecoveryPolicy::kRescheduleInCluster,
+                              fault::RecoveryPolicy::kMigrateWithState}) {
+    SimOptions faulty = perturbed;
+    faulty.fault.model = &model;
+    faulty.fault.recovery = recovery;
+    faulty.fault.checkpoint_months = 2;
+    faulty.fault.migrate_staging = 30.0;
+    variants.push_back(faulty);
+  }
+  const auto mains = [](const SimResult& r) {
+    std::vector<TraceEntry> out;
+    for (const auto& entry : r.trace.entries())
+      if (entry.unit_kind == UnitKind::kGroup) out.push_back(entry);
+    return out;
+  };
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const SimResult a = simulate_ensemble(fast_posts, pooled, e, variants[v]);
+    const SimResult b = simulate_ensemble(slow_posts, at_end, e, variants[v]);
+    EXPECT_EQ(a.trace.verify(), "") << "variant " << v;
+    EXPECT_EQ(b.trace.verify(), "") << "variant " << v;
+    EXPECT_NE(a.makespan, b.makespan) << "variant " << v;
+    EXPECT_GT(a.retries, 0) << "variant " << v;
+    if (v > 0) {
+      EXPECT_GT(a.fault.kills, 0) << "variant " << v;
+    }
+    EXPECT_EQ(a.main_phase_end, b.main_phase_end) << "variant " << v;
+    EXPECT_EQ(a.mains_executed, b.mains_executed) << "variant " << v;
+    EXPECT_EQ(a.retries, b.retries) << "variant " << v;
+    EXPECT_EQ(a.fault.outages, b.fault.outages) << "variant " << v;
+    EXPECT_EQ(a.fault.kills, b.fault.kills) << "variant " << v;
+    EXPECT_EQ(a.fault.rewound_months, b.fault.rewound_months)
+        << "variant " << v;
+    EXPECT_EQ(a.fault.downtime_seconds, b.fault.downtime_seconds)
+        << "variant " << v;
+    EXPECT_EQ(a.fault.lost_seconds, b.fault.lost_seconds) << "variant " << v;
+    const std::vector<TraceEntry> ma = mains(a);
+    const std::vector<TraceEntry> mb = mains(b);
+    ASSERT_EQ(ma.size(), mb.size()) << "variant " << v;
+    for (std::size_t i = 0; i < ma.size(); ++i) {
+      EXPECT_EQ(ma[i].unit, mb[i].unit) << "variant " << v << " entry " << i;
+      EXPECT_EQ(ma[i].scenario, mb[i].scenario) << "variant " << v;
+      EXPECT_EQ(ma[i].month, mb[i].month) << "variant " << v;
+      EXPECT_EQ(ma[i].start, mb[i].start) << "variant " << v;
+      EXPECT_EQ(ma[i].end, mb[i].end) << "variant " << v;
+      EXPECT_EQ(ma[i].outcome, mb[i].outcome) << "variant " << v;
     }
   }
 }
