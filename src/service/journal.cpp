@@ -18,21 +18,40 @@ constexpr char kJournalMagic[4] = {'O', 'A', 'G', 'J'};
 constexpr char kSnapshotMagic[4] = {'O', 'A', 'G', 'P'};
 constexpr std::uint32_t kVersion = 1;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables: tables[0] is the bytewise CRC-32 table, and
+/// tables[k][i] is the CRC of byte i followed by k zero bytes.
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit)
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      tables[k][i] = (tables[k - 1][i] >> 8) ^
+                     tables[0][tables[k - 1][i] & 0xFFu];
+  return tables;
 }
 
-/// Reads the framed record at the stream position. Returns false (leaving
-/// `payload` empty) on a clean end-of-file right at the frame boundary;
-/// throws on a torn or corrupt record.
-bool read_record(std::istream& in, std::string& payload) {
+/// Four bytes as a little-endian word, whatever the host's byte order.
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Reads the framed record at the stream position, `available` bytes
+/// before the end of the file. Returns false (leaving `payload` empty) on a
+/// clean end-of-file right at the frame boundary; throws on a torn or
+/// corrupt record — a length running past the end of the file included,
+/// before anything is allocated for it.
+bool read_record(std::istream& in, std::string& payload,
+                 std::uint64_t available) {
   std::uint32_t len = 0;
   in.read(reinterpret_cast<char*>(&len), sizeof len);
   if (in.gcount() == 0) return false;  // clean EOF
@@ -40,6 +59,8 @@ bool read_record(std::istream& in, std::string& payload) {
   std::uint32_t crc = 0;
   in.read(reinterpret_cast<char*>(&crc), sizeof crc);
   if (!in) throw std::invalid_argument("oagrid: torn journal record header");
+  if (len > available - sizeof len - sizeof crc)
+    throw std::invalid_argument("oagrid: torn journal record payload");
   payload.resize(len);
   in.read(payload.data(), static_cast<std::streamsize>(len));
   if (!in) throw std::invalid_argument("oagrid: torn journal record payload");
@@ -59,11 +80,18 @@ void append_framed(std::ostream& out, const std::string& payload) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size)
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -185,9 +213,11 @@ constexpr std::size_t kHeaderSize =
 
 JournalContents read_journal(const std::string& path) {
   JournalContents contents;
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return contents;
   contents.exists = true;
+  const auto file_size = in.tellg();
+  in.seekg(0);
 
   std::string header(kHeaderSize, '\0');
   in.read(header.data(), static_cast<std::streamsize>(header.size()));
@@ -209,7 +239,9 @@ JournalContents read_journal(const std::string& path) {
   for (;;) {
     const auto record_start = in.tellg();
     try {
-      if (!read_record(in, payload)) break;
+      if (!read_record(in, payload,
+                       static_cast<std::uint64_t>(file_size - record_start)))
+        break;
       contents.events.push_back(decode_event(payload));
     } catch (const std::invalid_argument&) {
       // Torn or corrupt record: the valid prefix ends here. Measure what
@@ -326,8 +358,10 @@ void write_snapshot(const std::string& path, std::uint64_t seq,
 
 SnapshotContents read_snapshot(const std::string& path) {
   SnapshotContents contents;
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return contents;
+  const auto file_size = in.tellg();
+  in.seekg(0);
   constexpr std::size_t kSnapHeader =
       sizeof kSnapshotMagic + sizeof(std::uint32_t) + sizeof(std::uint64_t);
   std::string header(kSnapHeader, '\0');
@@ -341,7 +375,9 @@ SnapshotContents read_snapshot(const std::string& path) {
   const auto seq = cursor.get<std::uint64_t>();
   try {
     std::string payload;
-    if (!read_record(in, payload)) return contents;
+    if (!read_record(in, payload,
+                     static_cast<std::uint64_t>(file_size) - kSnapHeader))
+      return contents;
     contents.valid = true;
     contents.seq = seq;
     contents.payload = std::move(payload);

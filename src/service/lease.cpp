@@ -20,6 +20,22 @@ struct Claimant {
   }
 };
 
+/// `claim` on `cluster`, with `unfinished_here` of its scenarios pinned
+/// there (0 for a newcomer's unpinned cluster).
+Claimant claimant_of(const platform::Cluster& cluster, const LeaseClaim& claim,
+                     Count unfinished_here) {
+  Claimant claimant;
+  claimant.campaign = claim.campaign;
+  claimant.weight = claim.weight;
+  claimant.floor = unfinished_here > 0 ? cluster.min_group() : 0;
+  const Count useful =
+      unfinished_here > 0 ? unfinished_here : claim.unfinished_total;
+  claimant.cap = static_cast<ProcCount>(
+      std::min<Count>(cluster.resources(), cluster.max_group() * useful));
+  claimant.assigned = claimant.floor;
+  return claimant;
+}
+
 /// Progressive filling: hand out `procs` one at a time, each to the active
 /// claimant with the smallest weight-normalized allotment that still has cap
 /// headroom (ties to the lower campaign id). Weighted max-min fairness,
@@ -43,35 +59,37 @@ void fill(std::vector<Claimant>& claimants, ProcCount procs) {
 
 std::vector<Lease> LeaseManager::plan(
     const std::vector<LeaseClaim>& claims) const {
-  std::vector<Lease> leases;
-  for (ClusterId c = 0; c < grid_->cluster_count(); ++c) {
-    const platform::Cluster& cluster = grid_->cluster(c);
-    const ProcCount gmin = cluster.min_group();
-    const ProcCount gmax = cluster.max_group();
-
-    std::vector<Claimant> claimants;
-    ProcCount floor_total = 0;
-    for (const LeaseClaim& claim : claims) {
+  // One pass over the claims builds every cluster's claimant list, in claim
+  // order: an incumbent joins the clusters it is pinned to, a newcomer
+  // joins every cluster.
+  std::vector<std::vector<Claimant>> by_cluster(
+      static_cast<std::size_t>(grid_->cluster_count()));
+  for (const LeaseClaim& claim : claims) {
+    if (!claim.newcomer) {
+      for (const auto& [c, count] : claim.pinned)
+        if (count > 0)
+          by_cluster[static_cast<std::size_t>(c)].push_back(
+              claimant_of(grid_->cluster(c), claim, count));
+      continue;
+    }
+    for (ClusterId c = 0; c < grid_->cluster_count(); ++c) {
       Count unfinished_here = 0;
       for (const auto& [pinned_cluster, count] : claim.pinned)
         if (pinned_cluster == c) unfinished_here = count;
-      if (unfinished_here == 0 && !claim.newcomer) continue;
-
-      Claimant claimant;
-      claimant.campaign = claim.campaign;
-      claimant.weight = claim.weight;
-      claimant.floor = unfinished_here > 0 ? gmin : 0;
-      const Count useful = unfinished_here > 0
-                               ? unfinished_here
-                               : claim.unfinished_total;
-      claimant.cap = static_cast<ProcCount>(
-          std::min<Count>(cluster.resources(), gmax * useful));
-      claimant.assigned = claimant.floor;
-      floor_total += claimant.floor;
-      claimants.push_back(claimant);
+      by_cluster[static_cast<std::size_t>(c)].push_back(
+          claimant_of(grid_->cluster(c), claim, unfinished_here));
     }
-    if (claimants.empty()) continue;
+  }
 
+  std::vector<Lease> leases;
+  for (ClusterId c = 0; c < grid_->cluster_count(); ++c) {
+    std::vector<Claimant>& claimants = by_cluster[static_cast<std::size_t>(c)];
+    if (claimants.empty()) continue;
+    const platform::Cluster& cluster = grid_->cluster(c);
+    const ProcCount gmin = cluster.min_group();
+
+    ProcCount floor_total = 0;
+    for (const Claimant& cl : claimants) floor_total += cl.floor;
     // The admission invariant (every pinned campaign was granted >= gmin
     // when its scenarios were placed, and pins only ever shrink) guarantees
     // the floors fit.

@@ -41,7 +41,8 @@ struct Lease {
 struct LeaseClaim {
   CampaignId campaign = 0;
   double weight = 1.0;
-  /// (cluster, unfinished scenarios pinned there). Floors apply here.
+  /// (cluster, unfinished scenarios pinned there), at most one entry per
+  /// cluster of the grid. Floors apply here.
   std::vector<std::pair<ClusterId, Count>> pinned;
   /// A newcomer (being admitted) may claim any cluster; its scenarios are
   /// assigned afterwards from the granted allotments.
@@ -57,7 +58,8 @@ class LeaseManager {
   explicit LeaseManager(const platform::Grid* grid) : grid_(grid) {}
 
   /// Deterministic weighted-fair-share plan over all clusters. Result is
-  /// sorted by (campaign, cluster) and omits zero leases.
+  /// sorted by (campaign, cluster) and omits zero leases. Campaign ids must
+  /// be distinct.
   [[nodiscard]] std::vector<Lease> plan(
       const std::vector<LeaseClaim>& claims) const;
 

@@ -221,10 +221,16 @@ void CampaignService::process_completion(const PendingEvent& event) {
   if (state.frontier[static_cast<std::size_t>(event.scenario)] >=
       static_cast<MonthIndex>(state.spec.months)) {
     // The scenario just retired: its pin on the cluster is gone.
-    std::vector<Count>& counts = pinned_counts_.at(event.campaign);
-    if (--counts[static_cast<std::size_t>(event.cluster)] == 0)
+    LeaseClaim& claim = *find_claim(event.campaign);
+    --claim.unfinished_total;
+    const auto pin = std::find_if(
+        claim.pinned.begin(), claim.pinned.end(),
+        [&](const auto& entry) { return entry.first == event.cluster; });
+    if (--pin->second == 0) {
+      claim.pinned.erase(pin);
       --pinned_campaigns_[static_cast<std::size_t>(event.cluster)];
-    mark_claims_dirty();
+    }
+    invalidate_plan();
   }
 
   if (obs::enabled() && !replaying_) {
@@ -302,11 +308,11 @@ void CampaignService::complete_campaign(CampaignState& state) {
     dispatch_dirty_.erase({state.id, cluster});
   }
   scenario_running_.erase(state.id);
-  // Every scenario retired along the way, so the per-cluster pin counters
-  // already drained to zero; only the campaign's entry remains.
-  pinned_counts_.erase(state.id);
+  // Every scenario retired along the way, so the claim's pins already
+  // drained away; only the claim itself remains.
+  claims_.erase(find_claim(state.id));
   --active_count_;
-  mark_claims_dirty();
+  invalidate_plan();
   rebalance_and_admit();
 }
 
@@ -423,40 +429,43 @@ std::vector<LeaseClaim> CampaignService::incumbent_claims() const {
   return claims;
 }
 
-void CampaignService::mark_claims_dirty() noexcept {
-  claims_dirty_ = true;
-  plan_valid_ = false;
+LeaseClaim CampaignService::claim_of(const CampaignState& state) const {
+  std::vector<Count> counts(static_cast<std::size_t>(grid_.cluster_count()),
+                            0);
+  for (std::size_t s = 0; s < state.assignment.size(); ++s)
+    if (state.frontier[s] < static_cast<MonthIndex>(state.spec.months))
+      ++counts[static_cast<std::size_t>(state.assignment[s])];
+  LeaseClaim claim;
+  claim.campaign = state.id;
+  claim.weight = state.spec.weight;
+  for (ClusterId c = 0; c < grid_.cluster_count(); ++c) {
+    const Count unfinished = counts[static_cast<std::size_t>(c)];
+    if (unfinished > 0) claim.pinned.push_back({c, unfinished});
+    claim.unfinished_total += unfinished;
+  }
+  return claim;
 }
 
-const std::vector<LeaseClaim>& CampaignService::current_claims() {
-  if (claims_dirty_) {
-    // pinned_counts_ holds exactly the running campaigns, keyed ascending —
-    // the same order incumbent_claims() derives by scanning every frontier.
-    claims_cache_.clear();
-    claims_cache_.reserve(pinned_counts_.size());
-    for (const auto& [id, counts] : pinned_counts_) {
-      LeaseClaim claim;
-      claim.campaign = id;
-      claim.weight = campaigns_.at(id).spec.weight;
-      for (ClusterId c = 0; c < grid_.cluster_count(); ++c) {
-        const Count unfinished = counts[static_cast<std::size_t>(c)];
-        if (unfinished > 0) claim.pinned.push_back({c, unfinished});
-        claim.unfinished_total += unfinished;
-      }
-      claims_cache_.push_back(std::move(claim));
-    }
-    if (options_.verify_incremental && !(claims_cache_ == incumbent_claims()))
-      throw std::runtime_error(
-          "oagrid: incremental claims diverged from a full recompute");
-    claims_dirty_ = false;
-  }
-  return claims_cache_;
+std::vector<LeaseClaim>::iterator CampaignService::find_claim(CampaignId id) {
+  return std::lower_bound(
+      claims_.begin(), claims_.end(), id,
+      [](const LeaseClaim& claim, CampaignId key) {
+        return claim.campaign < key;
+      });
+}
+
+void CampaignService::invalidate_plan() noexcept { plan_valid_ = false; }
+
+void CampaignService::verify_claims() const {
+  if (options_.verify_incremental && !(claims_ == incumbent_claims()))
+    throw std::runtime_error(
+        "oagrid: incremental claims diverged from a full recompute");
 }
 
 const std::vector<Lease>& CampaignService::current_plan() {
+  verify_claims();
   if (plan_valid_) {
-    if (options_.verify_incremental &&
-        !(plan_cache_ == leases_.plan(current_claims())))
+    if (options_.verify_incremental && !(plan_cache_ == leases_.plan(claims_)))
       throw std::runtime_error(
           "oagrid: cached lease plan diverged from a full recompute");
     ++plan_reuse_;
@@ -467,7 +476,7 @@ const std::vector<Lease>& CampaignService::current_plan() {
     }
     return plan_cache_;
   }
-  plan_cache_ = leases_.plan(current_claims());
+  plan_cache_ = leases_.plan(claims_);
   plan_valid_ = true;
   return plan_cache_;
 }
@@ -498,8 +507,9 @@ void CampaignService::admit(CampaignId id) {
   // Pass 1: plan with the newcomer claiming everywhere, plus a guaranteed
   // floor on the admissible cluster with the most free capacity (progressive
   // filling alone could leave a light-weight newcomer below min_group on
-  // every cluster — admitted yet unable to start).
-  std::vector<LeaseClaim> claims = current_claims();
+  // every cluster — admitted yet unable to start). The draft appends the
+  // newcomer to the incumbents' claims and pops it once planned.
+  verify_claims();
   ClusterId anchor = -1;
   ProcCount best_free = 0;
   for (ClusterId c = 0; c < grid_.cluster_count(); ++c) {
@@ -517,8 +527,9 @@ void CampaignService::admit(CampaignId id) {
   mine.newcomer = true;
   mine.unfinished_total = scenarios;
   mine.pinned.push_back({anchor, scenarios});
-  claims.push_back(std::move(mine));
-  const std::vector<Lease> draft = leases_.plan(claims);
+  claims_.push_back(std::move(mine));
+  const std::vector<Lease> draft = leases_.plan(claims_);
+  claims_.pop_back();
 
   // Scenario placement (Algorithm 1) over the draft allotments: one
   // performance vector per granted cluster, each computed on the cluster
@@ -552,16 +563,12 @@ void CampaignService::admit(CampaignId id) {
   scenario_running_[id] =
       std::vector<char>(static_cast<std::size_t>(scenarios), 0);
 
-  std::vector<Count> counts(static_cast<std::size_t>(grid_.cluster_count()),
-                            0);
-  for (const ClusterId c : state.assignment)
-    ++counts[static_cast<std::size_t>(c)];
-  for (ClusterId c = 0; c < grid_.cluster_count(); ++c)
-    if (counts[static_cast<std::size_t>(c)] > 0)
-      ++pinned_campaigns_[static_cast<std::size_t>(c)];
-  pinned_counts_.emplace(id, std::move(counts));
+  LeaseClaim claim = claim_of(state);
+  for (const auto& [c, count] : claim.pinned)
+    ++pinned_campaigns_[static_cast<std::size_t>(c)];
+  claims_.insert(find_claim(id), std::move(claim));
   ++active_count_;
-  mark_claims_dirty();
+  invalidate_plan();
 
   Event record;
   record.type = EventType::kCampaignAdmitted;
@@ -590,21 +597,34 @@ void CampaignService::rebalance_and_admit() {
 }
 
 void CampaignService::apply_plan(const std::vector<Lease>& plan) {
-  // One pass over the plan and one over the held allotments (instead of a
-  // rescan of both per cluster).
-  const auto n_clusters = static_cast<std::size_t>(grid_.cluster_count());
-  std::vector<std::map<CampaignId, ProcCount>> targets(n_clusters);
-  for (const Lease& lease : plan)
-    targets[static_cast<std::size_t>(lease.cluster)][lease.campaign] =
-        lease.procs;
-  std::vector<std::map<CampaignId, ProcCount>> current(n_clusters);
-  for (const auto& [key, allotment] : allotments_)
-    current[static_cast<std::size_t>(key.second)][key.first] = allotment.procs;
+  // The plan and the held allotments are both sorted by (campaign, cluster),
+  // so one lockstep walk finds the clusters whose leases differ.
+  std::vector<char> differs(static_cast<std::size_t>(grid_.cluster_count()),
+                            0);
+  auto held = allotments_.begin();
+  auto next = plan.begin();
+  while (held != allotments_.end() || next != plan.end()) {
+    if (next == plan.end() ||
+        (held != allotments_.end() &&
+         held->first < AllotmentKey{next->campaign, next->cluster})) {
+      differs[static_cast<std::size_t>(held->first.second)] = 1;  // released
+      ++held;
+    } else if (held == allotments_.end() ||
+               AllotmentKey{next->campaign, next->cluster} < held->first) {
+      differs[static_cast<std::size_t>(next->cluster)] = 1;  // granted
+      ++next;
+    } else {
+      if (held->second.procs != next->procs)
+        differs[static_cast<std::size_t>(next->cluster)] = 1;  // resized
+      ++held;
+      ++next;
+    }
+  }
 
   for (ClusterId c = 0; c < grid_.cluster_count(); ++c) {
     const auto ci = static_cast<std::size_t>(c);
     ClusterRuntime& runtime = clusters_[ci];
-    if (targets[ci] == current[ci]) {
+    if (differs[ci] == 0) {
       // Already there (or a pending reconfiguration became moot). Dropping
       // a pending reconfiguration unstalls the cluster, so every member may
       // dispatch again.
@@ -615,15 +635,19 @@ void CampaignService::apply_plan(const std::vector<Lease>& plan) {
       runtime.targets.clear();
       continue;
     }
+    std::map<CampaignId, ProcCount> targets;
+    for (const Lease& lease : plan)  // ascending campaign ids
+      if (lease.cluster == c)
+        targets.emplace_hint(targets.end(), lease.campaign, lease.procs);
     if (runtime.running == 0) {
-      apply_targets(c, targets[ci]);
+      apply_targets(c, targets);
       runtime.reconfiguring = false;
       runtime.targets.clear();
     } else {
       // The paper's rule, applied to leases: months in flight keep their
       // processors. Stall new starts and re-carve once the cluster drains.
       runtime.reconfiguring = true;
-      runtime.targets = std::move(targets[ci]);
+      runtime.targets = std::move(targets);
     }
   }
 }
@@ -1038,16 +1062,11 @@ void CampaignService::decode_state(const std::string& payload) {
     for (auto& c : state.assignment) c = in.get<ClusterId>();
     if (state.status == CampaignStatus::kRunning) {
       scenario_running_[state.id] = std::vector<char>(scenarios, 0);
-      // Rebuild the incremental claim inputs from the decoded frontier.
-      std::vector<Count> counts(
-          static_cast<std::size_t>(grid_.cluster_count()), 0);
-      for (std::uint32_t s = 0; s < scenarios; ++s)
-        if (state.frontier[s] < static_cast<MonthIndex>(state.spec.months))
-          ++counts[static_cast<std::size_t>(state.assignment[s])];
-      for (ClusterId c = 0; c < grid_.cluster_count(); ++c)
-        if (counts[static_cast<std::size_t>(c)] > 0)
-          ++pinned_campaigns_[static_cast<std::size_t>(c)];
-      pinned_counts_.emplace(state.id, std::move(counts));
+      // Rebuild the claim from the decoded frontier. Campaigns arrive in
+      // ascending id order, so appending keeps claims_ sorted.
+      claims_.push_back(claim_of(state));
+      for (const auto& [c, count] : claims_.back().pinned)
+        ++pinned_campaigns_[static_cast<std::size_t>(c)];
       ++active_count_;
     }
     campaigns_.emplace(state.id, std::move(state));
@@ -1118,7 +1137,7 @@ void CampaignService::decode_state(const std::string& payload) {
   // and its priority classes are rebuilt (in submission order) only now
   // that the priorities' inputs are in.
   for (const CampaignId id : queued) enqueue(id);
-  mark_claims_dirty();
+  invalidate_plan();
 }
 
 // --- introspection ---------------------------------------------------------

@@ -80,10 +80,10 @@ struct ServiceOptions {
   bool group_commit = false;
 
   /// Debug cross-check of the incremental control-plane bookkeeping (lease
-  /// claims, the max-min plan, cluster admissibility and the dispatch scan
-  /// are only recomputed when their inputs changed): every cached result,
-  /// and every admission pick, is compared against a full recompute; any
-  /// divergence throws. Slow — for tests.
+  /// claims are updated in place; the max-min plan, cluster admissibility
+  /// and the dispatch scan are only recomputed when their inputs changed):
+  /// the claims, every cached result and every admission pick are compared
+  /// against a full recompute; any divergence throws. Slow — for tests.
   bool verify_incremental = false;
 
   /// Threads for batched performance estimation (admission placement and
@@ -200,13 +200,16 @@ class CampaignService {
   void admit(CampaignId id);
   void rebalance_and_admit();
   [[nodiscard]] std::vector<LeaseClaim> incumbent_claims() const;
-  [[nodiscard]] const std::vector<LeaseClaim>& current_claims();
+  /// A running campaign's claim, counted from its unfinished scenarios.
+  [[nodiscard]] LeaseClaim claim_of(const CampaignState& state) const;
+  [[nodiscard]] std::vector<LeaseClaim>::iterator find_claim(CampaignId id);
+  void verify_claims() const;
   [[nodiscard]] const std::vector<Lease>& current_plan();
   /// Processors on cluster `c` left once every running campaign pinned
   /// there holds its min_group floor.
   [[nodiscard]] ProcCount free_capacity(ClusterId c) const;
   [[nodiscard]] bool admissible_now();
-  void mark_claims_dirty() noexcept;
+  void invalidate_plan() noexcept;
   void enqueue(CampaignId id);
   void dequeue(CampaignId id);
   void reprioritize_owner(const std::string& owner);
@@ -250,9 +253,10 @@ class CampaignService {
   // Incremental control-plane bookkeeping, maintained on every transition;
   // the full recompute survives only as the verify_incremental oracle.
   int active_count_ = 0;  ///< campaigns in kRunning
-  /// Per running campaign: unfinished scenarios pinned to each cluster —
-  /// exactly the inputs incumbent_claims() derives by scanning frontiers.
-  std::map<CampaignId, std::vector<Count>> pinned_counts_;
+  /// The running campaigns' lease claims, sorted by campaign id and updated
+  /// in place at admission, scenario retirement and completion — exactly
+  /// what incumbent_claims() derives by scanning frontiers.
+  std::vector<LeaseClaim> claims_;
   /// Per cluster: running campaigns with at least one scenario pinned there
   /// (the admissibility floor count).
   std::vector<int> pinned_campaigns_;
@@ -266,8 +270,6 @@ class CampaignService {
   std::map<std::string, std::map<double, CampaignQueue::ClassKey>>
       owner_classes_;
 
-  bool claims_dirty_ = true;
-  std::vector<LeaseClaim> claims_cache_;
   bool plan_valid_ = false;
   std::vector<Lease> plan_cache_;
   std::uint64_t plan_reuse_ = 0;

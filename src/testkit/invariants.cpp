@@ -13,6 +13,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -747,6 +748,209 @@ Verdict check_knapsack_family_identity(const Case& world) {
   return std::nullopt;
 }
 
+// --- lease planning: one-pass claimant lists equal the pin scan -------------
+
+/// The reference: the planner before one-pass claimant lists. Every cluster
+/// scans every claim's pins, and processors are handed out one at a time to
+/// the least-loaded claimant a linear scan finds.
+std::vector<service::Lease> scan_plan(
+    const platform::Grid& grid,
+    const std::vector<service::LeaseClaim>& claims) {
+  struct Claimant {
+    service::CampaignId campaign = 0;
+    double weight = 1.0;
+    ProcCount assigned = 0;
+    ProcCount floor = 0;
+    ProcCount cap = 0;
+    bool dropped = false;
+    [[nodiscard]] double load() const {
+      return static_cast<double>(assigned) / weight;
+    }
+  };
+  const auto fill = [](std::vector<Claimant>& claimants, ProcCount procs) {
+    while (procs > 0) {
+      Claimant* best = nullptr;
+      for (Claimant& c : claimants) {
+        if (c.dropped || c.assigned >= c.cap) continue;
+        if (best == nullptr || c.load() < best->load() ||
+            (c.load() == best->load() && c.campaign < best->campaign))
+          best = &c;
+      }
+      if (best == nullptr) break;
+      ++best->assigned;
+      --procs;
+    }
+  };
+
+  std::vector<service::Lease> leases;
+  for (ClusterId c = 0; c < grid.cluster_count(); ++c) {
+    const platform::Cluster& cluster = grid.cluster(c);
+    const ProcCount gmin = cluster.min_group();
+    std::vector<Claimant> claimants;
+    ProcCount floor_total = 0;
+    for (const service::LeaseClaim& claim : claims) {
+      Count unfinished_here = 0;
+      for (const auto& [pinned_cluster, count] : claim.pinned)
+        if (pinned_cluster == c) unfinished_here = count;
+      if (unfinished_here == 0 && !claim.newcomer) continue;
+      Claimant claimant;
+      claimant.campaign = claim.campaign;
+      claimant.weight = claim.weight;
+      claimant.floor = unfinished_here > 0 ? gmin : 0;
+      const Count useful =
+          unfinished_here > 0 ? unfinished_here : claim.unfinished_total;
+      claimant.cap = static_cast<ProcCount>(std::min<Count>(
+          cluster.resources(), cluster.max_group() * useful));
+      claimant.assigned = claimant.floor;
+      floor_total += claimant.floor;
+      claimants.push_back(claimant);
+    }
+    if (claimants.empty()) continue;
+    fill(claimants, cluster.resources() - floor_total);
+    for (;;) {
+      Claimant* victim = nullptr;
+      for (Claimant& cl : claimants) {
+        if (cl.dropped || cl.floor > 0) continue;
+        if (cl.assigned > 0 && cl.assigned < gmin &&
+            (victim == nullptr || cl.campaign > victim->campaign))
+          victim = &cl;
+      }
+      if (victim == nullptr) break;
+      const ProcCount freed = victim->assigned;
+      victim->assigned = 0;
+      victim->dropped = true;
+      fill(claimants, freed);
+    }
+    for (const Claimant& cl : claimants)
+      if (cl.assigned > 0) leases.push_back({cl.campaign, c, cl.assigned});
+  }
+  std::sort(leases.begin(), leases.end(),
+            [](const service::Lease& a, const service::Lease& b) {
+              return a.campaign != b.campaign ? a.campaign < b.campaign
+                                              : a.cluster < b.cluster;
+            });
+  return leases;
+}
+
+/// 1-4 clusters with min groups of 1-6 and tables of 1-8 sizes; about one
+/// in five is smaller than its min group, so every lease there is capped
+/// below it and must be dropped.
+platform::Grid random_lease_grid(Rng& rng) {
+  std::vector<platform::Cluster> clusters;
+  const auto n = rng.uniform_int(1, 4);
+  for (long long c = 0; c < n; ++c) {
+    const auto gmin = static_cast<ProcCount>(rng.uniform_int(1, 6));
+    const auto sizes = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    const auto resources = static_cast<ProcCount>(
+        gmin > 1 && rng.uniform() < 0.2 ? rng.uniform_int(1, gmin - 1)
+                                        : rng.uniform_int(gmin, 64));
+    clusters.emplace_back("c" + std::to_string(c), resources, gmin,
+                          std::vector<Seconds>(sizes, 100.0), 10.0);
+  }
+  return platform::Grid(std::move(clusters));
+}
+
+/// A claim set as the service builds one: distinct ids, incumbents pinned
+/// within every cluster's floor budget (sometimes filling it exactly), and
+/// usually newcomers, each with or without an anchor pin. Weights repeat
+/// from {1, 2, 3} (exact load ties) or are fractional.
+std::vector<service::LeaseClaim> random_lease_claims(
+    const platform::Grid& grid, Rng& rng) {
+  const bool integral = rng.uniform() < 0.5;
+  const auto weight = [&] {
+    return integral ? static_cast<double>(rng.uniform_int(1, 3))
+                    : rng.uniform(0.25, 3.25);
+  };
+  std::vector<int> ids(40);
+  std::iota(ids.begin(), ids.end(), 1);
+  rng.shuffle(ids);
+
+  const auto incumbents = static_cast<std::size_t>(rng.uniform_int(0, 12));
+  std::vector<service::LeaseClaim> claims(incumbents);
+  for (std::size_t i = 0; i < incumbents; ++i) {
+    claims[i].campaign = static_cast<service::CampaignId>(ids[i]);
+    claims[i].weight = weight();
+  }
+  std::vector<ProcCount> free(static_cast<std::size_t>(grid.cluster_count()));
+  for (ClusterId c = 0; c < grid.cluster_count(); ++c) {
+    const platform::Cluster& cluster = grid.cluster(c);
+    const auto budget = static_cast<long long>(std::min<std::size_t>(
+        incumbents, static_cast<std::size_t>(cluster.resources() /
+                                             cluster.min_group())));
+    const long long pinned =
+        rng.uniform() < 0.3 ? budget : rng.uniform_int(0, budget);
+    std::vector<int> order(incumbents);
+    std::iota(order.begin(), order.end(), 0);
+    rng.shuffle(order);
+    for (long long k = 0; k < pinned; ++k) {
+      service::LeaseClaim& claim = claims[static_cast<std::size_t>(
+          order[static_cast<std::size_t>(k)])];
+      const Count count = rng.uniform_int(1, 6);
+      claim.pinned.push_back({c, count});
+      claim.unfinished_total += count;
+    }
+    free[static_cast<std::size_t>(c)] =
+        cluster.resources() -
+        static_cast<ProcCount>(pinned) * cluster.min_group();
+  }
+  std::sort(claims.begin(), claims.end(),
+            [](const service::LeaseClaim& a, const service::LeaseClaim& b) {
+              return a.campaign < b.campaign;
+            });
+
+  // The service plans one newcomer at a time; two or three compete for the
+  // same sub-minimum slivers, so the order of drops matters.
+  const double roll = rng.uniform();
+  const std::size_t newcomers =
+      roll < 0.2 ? 0 : roll < 0.7 ? 1 : roll < 0.85 ? 2 : 3;
+  for (std::size_t k = 0; k < newcomers; ++k) {
+    service::LeaseClaim newcomer;
+    newcomer.campaign =
+        static_cast<service::CampaignId>(ids[incumbents + k]);
+    newcomer.weight = weight();
+    newcomer.newcomer = true;
+    newcomer.unfinished_total = rng.uniform_int(1, 9);
+    std::vector<ClusterId> anchors;
+    for (ClusterId c = 0; c < grid.cluster_count(); ++c)
+      if (free[static_cast<std::size_t>(c)] >= grid.cluster(c).min_group())
+        anchors.push_back(c);
+    if (!anchors.empty() && rng.uniform() < 0.5) {
+      const ClusterId anchor = anchors[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<long long>(anchors.size()) - 1))];
+      newcomer.pinned.push_back({anchor, newcomer.unfinished_total});
+      free[static_cast<std::size_t>(anchor)] -=
+          grid.cluster(anchor).min_group();
+    }
+    claims.push_back(std::move(newcomer));
+  }
+  return claims;
+}
+
+Verdict check_lease_plan_identity(const Case& world) {
+  Rng rng(world.spec.seed ^ 0x6c65617365706c6eull);
+  for (int trial = 0; trial < 8; ++trial) {
+    const platform::Grid grid = random_lease_grid(rng);
+    const service::LeaseManager manager(&grid);
+    for (int round = 0; round < 4; ++round) {
+      const std::vector<service::LeaseClaim> claims =
+          random_lease_claims(grid, rng);
+      const std::vector<service::Lease> got = manager.plan(claims);
+      const std::vector<service::Lease> want = scan_plan(grid, claims);
+      if (got == want) continue;
+      std::ostringstream leases;
+      for (const service::Lease& l : got)
+        leases << " (" << l.campaign << "," << l.cluster << ")=" << l.procs;
+      leases << " vs scan";
+      for (const service::Lease& l : want)
+        leases << " (" << l.campaign << "," << l.cluster << ")=" << l.procs;
+      return fail("trial ", trial, " round ", round, ": ", claims.size(),
+                  " claims on ", grid.cluster_count(),
+                  " clusters plan differently:", leases.str());
+    }
+  }
+  return std::nullopt;
+}
+
 // --- service world -----------------------------------------------------------
 
 /// Scratch directory under the system temp root, removed on scope exit.
@@ -930,6 +1134,10 @@ const std::vector<Invariant>& all_invariants() {
        "greedy repartition is locally optimal, zero charges are identity, "
        "brute force never loses to it",
        check_repartition_consistency},
+      {"lease-plan-identity",
+       "the lease planner's one-pass claimant lists give every random claim "
+       "set the plan of a pin scan per cluster",
+       check_lease_plan_identity},
       {"crash-recovery",
        "a service killed at a random journal offset recovers to the "
        "uninterrupted run's state signature and journal bytes",

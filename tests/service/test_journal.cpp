@@ -1,7 +1,9 @@
 #include "service/journal.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -102,6 +104,82 @@ TEST(Crc32, MatchesTheStandardCheckValue) {
   const std::string data = "123456789";
   EXPECT_EQ(crc32(data.data(), data.size()), 0xCBF43926u);
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+/// The CRC-32 definition itself: reflected polynomial 0xEDB88320, one bit
+/// at a time, no table.
+std::uint32_t bitwise_crc32(const unsigned char* bytes, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+TEST(Crc32, MatchesABitwiseCrcAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buffer(8 + 64);
+  std::uint32_t state = 12345;
+  for (unsigned char& byte : buffer) {
+    state = state * 1103515245u + 12345u;
+    byte = static_cast<unsigned char>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t size = 0; size <= 64; ++size)
+      EXPECT_EQ(crc32(buffer.data() + offset, size),
+                bitwise_crc32(buffer.data() + offset, size))
+          << "offset " << offset << ", length " << size;
+}
+
+/// Peak resident set of this process, in KB.
+long peak_rss_kb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+/// A torn record header whose length field is garbage: the length, a zero
+/// CRC, then 3 bytes where about 4 GiB were promised.
+std::string garbage_length_record() {
+  std::string bytes;
+  const std::uint32_t len = 0xFFFFFFF0u;
+  const std::uint32_t crc = 0;
+  bytes.append(reinterpret_cast<const char*>(&len), sizeof len);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof crc);
+  bytes.append("abc");
+  return bytes;
+}
+
+constexpr long kAllocationSlackKb = 64 * 1024;
+
+TEST(Journal, GarbageRecordLengthIsATornTailNotAnAllocation) {
+  const std::string path = temp_dir("journal-garbage-len") + "/journal.bin";
+  const std::vector<Event> events = sample_events();
+  {
+    JournalWriter writer(path, 0, test_config());
+    writer.append(events.front());
+  }
+  write_file(path, read_file(path) + garbage_length_record());
+
+  const long rss_before = peak_rss_kb();
+  const JournalContents contents = read_journal(path);
+  EXPECT_LT(peak_rss_kb() - rss_before, kAllocationSlackKb);
+  EXPECT_TRUE(contents.torn_tail);
+  ASSERT_EQ(contents.events.size(), 1u);
+  EXPECT_TRUE(contents.events.front() == events.front());
+  EXPECT_EQ(contents.dropped_bytes, 11u);
+}
+
+TEST(Snapshot, GarbageRecordLengthReadsAsInvalid) {
+  const std::string path = temp_dir("snapshot-garbage-len") + "/snapshot.bin";
+  write_snapshot(path, 9, "payload bytes here");
+  // Keep the 16-byte header (magic, version, seq); replace the record.
+  write_file(path, read_file(path).substr(0, 16) + garbage_length_record());
+
+  const long rss_before = peak_rss_kb();
+  EXPECT_FALSE(read_snapshot(path).valid);
+  EXPECT_LT(peak_rss_kb() - rss_before, kAllocationSlackKb);
 }
 
 TEST(EventCodec, RoundTripsEveryType) {

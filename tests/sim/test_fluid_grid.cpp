@@ -223,9 +223,12 @@ TEST(DynamicGrid, BandwidthMovesTheMigrationBreakEven) {
     skinny_total += skinny_run.makespan;
     static_total += static_run.makespan;
     // Stall accounting is consistent with the migration count.
-    if (fat_run.migrations > 0) EXPECT_GT(fat_run.migration_seconds, 0.0);
-    if (skinny_run.migrations == 0)
+    if (fat_run.migrations > 0) {
+      EXPECT_GT(fat_run.migration_seconds, 0.0);
+    }
+    if (skinny_run.migrations == 0) {
       EXPECT_EQ(skinny_run.migration_seconds, 0.0);
+    }
   }
   // Cheap state shipping -> migrate more; expensive -> migrate less.
   EXPECT_GT(fat_migrations, skinny_migrations);
