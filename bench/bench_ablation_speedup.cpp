@@ -7,10 +7,11 @@
 
 #include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "platform/profiles.hpp"
+#include "platform/speedup.hpp"
 #include "sched/makespan_model.hpp"
 #include "sim/ensemble_sim.hpp"
 
@@ -21,32 +22,35 @@ int main() {
 
   const appmodel::Ensemble ensemble{10, 150};
 
-  // Calibrate each family to T(11) ~ 1260 s.
-  const platform::CoupledModel coupled;  // reference parameters
+  // Calibrate each family to T(11) ~ 1260 s; every table covers G = 4..11.
+  const std::vector<Seconds> coupled =
+      platform::coupled_main_times();  // reference parameters
   // Amdahl: T(11) = t1 (alpha + (1-alpha)/11) = 1260 with alpha = 0.25.
   const double alpha = 0.25;
   const double t1_amdahl = 1260.0 / (alpha + (1 - alpha) / 11.0);
-  const platform::AmdahlModel amdahl(t1_amdahl, alpha, 4, 11);
+  const std::vector<Seconds> amdahl =
+      platform::amdahl_main_times(t1_amdahl, alpha, 4, 11);
   // Power law: T(11) = t1 / 11^0.6 = 1260.
   const double t1_power = 1260.0 * std::pow(11.0, 0.6);
-  const platform::PowerLawModel power(t1_power, 0.6, 4, 11);
+  const std::vector<Seconds> power =
+      platform::power_law_main_times(t1_power, 0.6, 4, 11);
 
   std::cout << "Calibrated tables:\n";
   TableWriter tables({"G", "coupled [s]", "amdahl [s]", "power-law [s]"});
-  for (ProcCount g = 4; g <= 11; ++g)
-    tables.add_row({std::to_string(g), fmt(coupled.time_on(g), 0),
-                    fmt(amdahl.time_on(g), 0), fmt(power.time_on(g), 0)});
+  for (std::size_t i = 0; i < coupled.size(); ++i)
+    tables.add_row({std::to_string(4 + i), fmt(coupled[i], 0),
+                    fmt(amdahl[i], 0), fmt(power[i], 0)});
   tables.print(std::cout);
 
   std::cout << "\nDecisions and gains per model family:\n";
   TableWriter table({"R", "best G (coup/amd/pow)", "knapsack gain % (coup)",
                      "(amd)", "(pow)"});
-  const platform::SpeedupModel* models[] = {&coupled, &amdahl, &power};
+  const std::vector<Seconds>* models[] = {&coupled, &amdahl, &power};
   for (ProcCount r = 20; r <= 120; r += 10) {
     ProcCount best_g[3];
     double gain[3];
     for (int m = 0; m < 3; ++m) {
-      const platform::Cluster cluster("ablate", r, *models[m], 180.0);
+      const platform::Cluster cluster("ablate", r, 4, *models[m], 180.0);
       best_g[m] = sched::best_uniform_grouping(cluster, ensemble).group_size;
       const Seconds basic =
           sim::simulate_with_heuristic(cluster, sched::Heuristic::kBasic,

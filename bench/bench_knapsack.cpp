@@ -20,13 +20,8 @@ namespace {
 using namespace oagrid;
 
 knapsack::Problem paper_problem(int capacity, Count max_items) {
-  knapsack::Problem p;
-  const auto cluster = platform::make_builtin_cluster(1, capacity);
-  for (ProcCount g = 4; g <= 11; ++g)
-    p.items.push_back(knapsack::Item{g, 1.0 / cluster.main_time(g)});
-  p.capacity = capacity;
-  p.max_items = max_items;
-  return p;
+  return sched::grouping_knapsack(platform::make_builtin_cluster(1, capacity),
+                                  max_items);
 }
 
 void BM_KnapsackDP(benchmark::State& state) {

@@ -3,26 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.hpp"
+
 namespace oagrid::fault {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-struct Fnv1a {
-  std::uint64_t h = kFnvOffset;
-
-  void bytes(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= kFnvPrime;
-    }
-  }
-  void u64(std::uint64_t v) noexcept { bytes(&v, sizeof(v)); }
-  void f64(double v) noexcept { bytes(&v, sizeof(v)); }
-};
 
 /// Inverse-CDF draws. Both distributions are parameterised so that the mean
 /// interarrival equals the requested MTBF: exponential rate 1/MTBF; Weibull
@@ -157,7 +142,7 @@ bool FailureModel::cluster_active(ClusterId cluster) const {
 }
 
 std::uint64_t FailureModel::signature() const noexcept {
-  Fnv1a f;
+  Fnv1a f{kFnv1aShortBasis};
   f.u64(seed_);
   f.u64(static_cast<std::uint64_t>(processes_.size()));
   for (const auto& p : processes_) {
@@ -171,7 +156,7 @@ std::uint64_t FailureModel::signature() const noexcept {
       f.f64(o.duration);
     }
   }
-  return f.h;
+  return f.state;
 }
 
 FailureModel FailureModel::uniform_exponential(int clusters, double mtbf,

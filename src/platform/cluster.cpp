@@ -19,11 +19,6 @@ Cluster::Cluster(std::string name, ProcCount resources, ProcCount min_group,
   OAGRID_REQUIRE(post_time_ >= 0.0, "post-processing time must be >= 0");
 }
 
-Cluster::Cluster(std::string name, ProcCount resources,
-                 const SpeedupModel& model, Seconds post_time)
-    : Cluster(std::move(name), resources, model.min_procs(), model.tabulate(),
-              post_time) {}
-
 Seconds Cluster::main_time(ProcCount g) const {
   OAGRID_REQUIRE(g >= min_group() && g <= max_group(),
                  "group size outside the cluster's admissible range");
@@ -35,20 +30,6 @@ Cluster Cluster::with_resources(ProcCount r) const {
   OAGRID_REQUIRE(r >= 1, "cluster needs at least one processor");
   copy.resources_ = r;
   return copy;
-}
-
-Cluster Cluster::scaled(double factor) const {
-  OAGRID_REQUIRE(factor > 0.0, "scale factor must be positive");
-  Cluster copy = *this;
-  for (Seconds& t : copy.main_times_) t *= factor;
-  copy.post_time_ *= factor;
-  return copy;
-}
-
-bool Cluster::monotone_speedup() const noexcept {
-  for (std::size_t i = 1; i < main_times_.size(); ++i)
-    if (main_times_[i] > main_times_[i - 1]) return false;
-  return true;
 }
 
 }  // namespace oagrid::platform

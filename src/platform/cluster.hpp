@@ -5,17 +5,16 @@
 /// The paper's §4 heuristics see a cluster as exactly three things: a
 /// processor count R, the execution-time table T[G] of the (fused) main task
 /// for every admissible group size G, and the duration TP of the (fused)
-/// post-processing task. Cluster is that triple, as a value type: the
-/// speedup model is tabulated once at construction so the schedulers index a
-/// dense array instead of virtual-dispatching in their inner loops.
+/// post-processing task. Cluster is that triple, as a value type, and its
+/// dense T[G] array is the only form a main-task table takes: benchmarked
+/// tables, grid files and the synthesized models of speedup.hpp all arrive
+/// as one.
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "platform/speedup.hpp"
 
 namespace oagrid::platform {
 
@@ -27,10 +26,6 @@ class Cluster {
   /// `min_group` processors.
   Cluster(std::string name, ProcCount resources, ProcCount min_group,
           std::vector<Seconds> main_times, Seconds post_time);
-
-  /// Builds by tabulating a speedup model.
-  Cluster(std::string name, ProcCount resources, const SpeedupModel& model,
-          Seconds post_time);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] ProcCount resources() const noexcept { return resources_; }
@@ -52,14 +47,6 @@ class Cluster {
 
   /// Copy with a different processor count (used by resource sweeps).
   [[nodiscard]] Cluster with_resources(ProcCount r) const;
-
-  /// Copy with all times scaled by `factor` (heterogeneity perturbations).
-  [[nodiscard]] Cluster scaled(double factor) const;
-
-  /// True when T is monotone non-increasing in G — the natural shape for a
-  /// moldable task and an assumption some baselines exploit. The paper's
-  /// heuristics do not require it; the knapsack treats any table correctly.
-  [[nodiscard]] bool monotone_speedup() const noexcept;
 
  private:
   std::string name_;

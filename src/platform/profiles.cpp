@@ -1,9 +1,23 @@
 #include "platform/profiles.hpp"
 
 #include <array>
+#include <string>
+
+#include "platform/speedup.hpp"
 
 namespace oagrid::platform {
 namespace {
+
+/// One profile: a coupled-model shape anchored to a published T(11). The
+/// speed factor is derived so that the fused main task takes exactly
+/// `t11_target` seconds on 11 processors; the post task scales
+/// proportionally to overall speed (TP = 180 s x t11_target / 1260).
+struct ClusterProfile {
+  const char* name;
+  double beta;          ///< parallel-overhead coefficient (CoupledParams)
+  Seconds seq_floor;    ///< sequential ocean/runoff/coupler time
+  Seconds t11_target;   ///< anchored fused-main time on 11 processors
+};
 
 // Shapes differ (beta, seq_floor) so percentage gains scatter across
 // profiles; anchors follow §6: fastest T(11) = 1177 s, slowest = 1622 s,
@@ -16,55 +30,37 @@ constexpr std::array<ClusterProfile, 5> kProfiles{{
     {"azur", 0.090, 520.0, 1622.0},        // Sophia — slowest sequential parts
 }};
 
-/// Unscaled T(11) of a profile's shape (speed factor 1, pre tasks included).
-Seconds base_t11(const ClusterProfile& profile) {
-  CoupledModel::Params params = reference_coupled_params();
+Cluster build_cluster(std::string name, const ClusterProfile& profile,
+                      ProcCount resources) {
+  CoupledParams params;
   params.beta = profile.beta;
   params.seq_floor = profile.seq_floor;
-  const CoupledModel model(params);
-  return model.time_on(kMaxGroupSize) + kReferencePreTime;
-}
-
-Cluster build_cluster(const ClusterProfile& profile, ProcCount resources) {
-  const double speed_factor = profile.t11_target / base_t11(profile);
-  CoupledModel::Params params = reference_coupled_params();
-  params.beta = profile.beta;
-  params.seq_floor = profile.seq_floor;
-  params.speed_factor = speed_factor;
-  const CoupledModel model(params);
+  // One table at speed factor 1: its T(11) (pre tasks included) fixes the
+  // speed factor, and scaling each entry afterwards gives the same bits as
+  // tabulating at that factor (x * 1.0 is exact and products commute).
+  std::vector<Seconds> times = coupled_main_times(params);
+  const double speed_factor =
+      profile.t11_target / (times.back() + kReferencePreTime);
   // The scheduler's "main task" is pcr with the two 1 s pre tasks fused in
   // (paper §4.1); pre tasks are sequential, so they scale with the cluster.
-  std::vector<Seconds> times = model.tabulate();
-  for (Seconds& t : times) t += kReferencePreTime * speed_factor;
+  for (Seconds& t : times) {
+    t = speed_factor * t;
+    t += kReferencePreTime * speed_factor;
+  }
   // Post time proportional to overall cluster speed, normalized so the
   // reference profile keeps the paper's exact 180 s (and 1260/180 = 7).
   const Seconds post = kReferencePostTime * profile.t11_target / 1260.0;
-  return Cluster(profile.name, resources, model.min_procs(), std::move(times),
-                 post);
+  return Cluster(std::move(name), resources, params.pinned + 1,
+                 std::move(times), post);
 }
 
 }  // namespace
 
-CoupledModel::Params reference_coupled_params() {
-  CoupledModel::Params p;
-  p.speed_factor = 1.0;
-  p.seq_floor = 420.0;
-  p.atm_work = 4300.0;
-  p.beta = 0.08;
-  p.pinned = 3;
-  p.saturation = 8;
-  p.max_group = kMaxGroupSize;
-  return p;
-}
-
-std::span<const ClusterProfile> builtin_profiles() noexcept {
-  return kProfiles;
-}
-
 Cluster make_builtin_cluster(int index, ProcCount resources) {
   OAGRID_REQUIRE(index >= 0 && index < static_cast<int>(kProfiles.size()),
                  "profile index out of range");
-  return build_cluster(kProfiles[static_cast<std::size_t>(index)], resources);
+  const ClusterProfile& profile = kProfiles[static_cast<std::size_t>(index)];
+  return build_cluster(profile.name, profile, resources);
 }
 
 Grid make_builtin_grid(ProcCount resources) {
@@ -83,18 +79,14 @@ Grid make_random_grid(int n, ProcCount min_resources, ProcCount max_resources,
   std::vector<Cluster> clusters;
   clusters.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    ClusterProfile profile;
-    profile.name = "";  // unused; named below
+    ClusterProfile profile{};
     profile.beta = rng.uniform(0.05, 0.13);
     profile.seq_floor = rng.uniform(350.0, 550.0);
     profile.t11_target = rng.uniform(1100.0, 1700.0);
     const auto r = static_cast<ProcCount>(
         rng.uniform_int(min_resources, max_resources));
-    Cluster c = build_cluster(profile, r);
-    clusters.emplace_back("random-" + std::to_string(i), r, c.min_group(),
-                          std::vector<Seconds>(c.main_times().begin(),
-                                               c.main_times().end()),
-                          c.post_time());
+    clusters.push_back(
+        build_cluster("random-" + std::to_string(i), profile, r));
   }
   return Grid(std::move(clusters));
 }

@@ -6,9 +6,15 @@
 /// Grid'5000"; it publishes only two anchor points — the fastest cluster runs
 /// one main task on 11 processors in 1177 s, the slowest in 1622 s — and the
 /// per-task durations of Figure 1 (pcr ~ 1260 s, three 60 s post tasks, two
-/// 1 s pre tasks). The five profiles here are synthesized from CoupledModel
-/// with speed factors spanning exactly that range (substitution documented in
-/// DESIGN.md §2). Names follow real 2008-era Grid'5000 clusters for flavor.
+/// 1 s pre tasks). The five profiles here are synthesized from the coupled
+/// model (coupled_main_times) with speed factors spanning exactly that range
+/// (substitution documented in DESIGN.md §2). Each profile is a machine
+/// *shape* — parallel-overhead coefficient and sequential-component floor
+/// differ per cluster, as real benchmark tables do — anchored to a published
+/// T(11): T(11) spans 1177 s (fastest) .. 1622 s (slowest), and the shapes
+/// differ so the five gain samples per resource count genuinely scatter (the
+/// paper's Figure 8 error bars). Names follow real 2008-era Grid'5000
+/// clusters for flavor.
 
 #include <vector>
 
@@ -24,28 +30,6 @@ inline constexpr Seconds kReferencePostTime = 180.0;
 /// The fused pre-processing contribution folded into the main task:
 /// caif (1 s) + mp (1 s).
 inline constexpr Seconds kReferencePreTime = 2.0;
-
-/// Reference coupled-model parameters calibrated so that T(11) ~ 1260 s
-/// (the paper's pcr benchmark) at speed factor 1.
-[[nodiscard]] CoupledModel::Params reference_coupled_params();
-
-/// One profile: a named machine *shape* (parallel-overhead coefficient and
-/// sequential-component floor differ per cluster, as real benchmark tables
-/// do) anchored to a published T(11) target. The speed factor is derived so
-/// that the fused main task takes exactly `t11_target` seconds on 11
-/// processors; the post task scales proportionally to overall speed
-/// (TP = 180 s x t11_target / 1260).
-struct ClusterProfile {
-  const char* name;
-  double beta;          ///< parallel-overhead coefficient of CoupledModel
-  Seconds seq_floor;    ///< sequential ocean/runoff/coupler time
-  Seconds t11_target;   ///< anchored fused-main time on 11 processors
-};
-
-/// The five simulation profiles. T(11) spans the published 1177 s (fastest)
-/// .. 1622 s (slowest); shapes differ so the five gain samples per resource
-/// count genuinely scatter (the paper's Figure 8 error bars).
-[[nodiscard]] std::span<const ClusterProfile> builtin_profiles() noexcept;
 
 /// Builds cluster `index` (0..4) of the built-in set with `resources`
 /// processors. Main-task times include the fused 2 s pre-processing.

@@ -5,94 +5,56 @@
 
 namespace oagrid::platform {
 
-std::vector<Seconds> SpeedupModel::tabulate() const {
-  std::vector<Seconds> out;
-  out.reserve(static_cast<std::size_t>(max_procs() - min_procs() + 1));
-  for (ProcCount g = min_procs(); g <= max_procs(); ++g)
-    out.push_back(time_on(g));
-  return out;
-}
-
-void SpeedupModel::require_in_range(ProcCount g) const {
-  OAGRID_REQUIRE(g >= min_procs() && g <= max_procs(),
-                 "group size outside the model's admissible range");
-}
-
-MeasuredTable::MeasuredTable(ProcCount min_procs, std::vector<Seconds> times)
-    : min_(min_procs), times_(std::move(times)) {
-  OAGRID_REQUIRE(min_ >= 1, "min_procs must be >= 1");
-  OAGRID_REQUIRE(!times_.empty(), "measured table must not be empty");
-  for (const Seconds t : times_)
-    OAGRID_REQUIRE(t > 0.0, "measured times must be positive");
-}
-
-Seconds MeasuredTable::time_on(ProcCount g) const {
-  require_in_range(g);
-  return times_[static_cast<std::size_t>(g - min_)];
-}
-
-std::unique_ptr<SpeedupModel> MeasuredTable::clone() const {
-  return std::make_unique<MeasuredTable>(*this);
-}
-
-CoupledModel::CoupledModel() : CoupledModel(Params{}) {}
-
-CoupledModel::CoupledModel(Params params) : params_(params) {
-  OAGRID_REQUIRE(params_.speed_factor > 0.0, "speed factor must be positive");
-  OAGRID_REQUIRE(params_.seq_floor >= 0.0, "sequential floor must be >= 0");
-  OAGRID_REQUIRE(params_.atm_work > 0.0, "atmosphere work must be positive");
-  OAGRID_REQUIRE(params_.beta >= 0.0, "overhead coefficient must be >= 0");
-  OAGRID_REQUIRE(params_.pinned >= 0, "pinned count must be >= 0");
-  OAGRID_REQUIRE(params_.saturation >= 1, "saturation must be >= 1");
-  OAGRID_REQUIRE(params_.max_group > params_.pinned,
+std::vector<Seconds> coupled_main_times(const CoupledParams& params) {
+  OAGRID_REQUIRE(params.speed_factor > 0.0, "speed factor must be positive");
+  OAGRID_REQUIRE(params.seq_floor >= 0.0, "sequential floor must be >= 0");
+  OAGRID_REQUIRE(params.atm_work > 0.0, "atmosphere work must be positive");
+  OAGRID_REQUIRE(params.beta >= 0.0, "overhead coefficient must be >= 0");
+  OAGRID_REQUIRE(params.pinned >= 0, "pinned count must be >= 0");
+  OAGRID_REQUIRE(params.saturation >= 1, "saturation must be >= 1");
+  OAGRID_REQUIRE(params.max_group > params.pinned,
                  "max group must exceed pinned components");
+  std::vector<Seconds> times;
+  times.reserve(static_cast<std::size_t>(params.max_group - params.pinned));
+  for (ProcCount g = params.pinned + 1; g <= params.max_group; ++g) {
+    const ProcCount atm = std::min(g - params.pinned, params.saturation);
+    // Linear-overhead efficiency: S(n) = n / (1 + beta*(n-1)).
+    const double speedup = static_cast<double>(atm) /
+                           (1.0 + params.beta * static_cast<double>(atm - 1));
+    times.push_back(params.speed_factor *
+                    (params.seq_floor + params.atm_work / speedup));
+  }
+  return times;
 }
 
-Seconds CoupledModel::time_on(ProcCount g) const {
-  require_in_range(g);
-  const ProcCount atm = std::min(g - params_.pinned, params_.saturation);
-  // Linear-overhead efficiency: S(n) = n / (1 + beta*(n-1)).
-  const double speedup =
-      static_cast<double>(atm) / (1.0 + params_.beta * static_cast<double>(atm - 1));
-  return params_.speed_factor * (params_.seq_floor + params_.atm_work / speedup);
+std::vector<Seconds> amdahl_main_times(Seconds t1, double serial_fraction,
+                                       ProcCount min_procs,
+                                       ProcCount max_procs) {
+  OAGRID_REQUIRE(t1 > 0.0, "t1 must be positive");
+  OAGRID_REQUIRE(serial_fraction >= 0.0 && serial_fraction <= 1.0,
+                 "serial fraction in [0,1]");
+  OAGRID_REQUIRE(min_procs >= 1 && min_procs <= max_procs,
+                 "invalid processor range");
+  std::vector<Seconds> times;
+  times.reserve(static_cast<std::size_t>(max_procs - min_procs + 1));
+  for (ProcCount g = min_procs; g <= max_procs; ++g)
+    times.push_back(t1 * (serial_fraction +
+                          (1.0 - serial_fraction) / static_cast<double>(g)));
+  return times;
 }
 
-std::unique_ptr<SpeedupModel> CoupledModel::clone() const {
-  return std::make_unique<CoupledModel>(*this);
-}
-
-AmdahlModel::AmdahlModel(Seconds t1, double serial_fraction, ProcCount min_procs,
-                         ProcCount max_procs)
-    : t1_(t1), alpha_(serial_fraction), min_(min_procs), max_(max_procs) {
-  OAGRID_REQUIRE(t1_ > 0.0, "t1 must be positive");
-  OAGRID_REQUIRE(alpha_ >= 0.0 && alpha_ <= 1.0, "serial fraction in [0,1]");
-  OAGRID_REQUIRE(min_ >= 1 && min_ <= max_, "invalid processor range");
-}
-
-Seconds AmdahlModel::time_on(ProcCount g) const {
-  require_in_range(g);
-  return t1_ * (alpha_ + (1.0 - alpha_) / static_cast<double>(g));
-}
-
-std::unique_ptr<SpeedupModel> AmdahlModel::clone() const {
-  return std::make_unique<AmdahlModel>(*this);
-}
-
-PowerLawModel::PowerLawModel(Seconds t1, double alpha, ProcCount min_procs,
-                             ProcCount max_procs)
-    : t1_(t1), alpha_(alpha), min_(min_procs), max_(max_procs) {
-  OAGRID_REQUIRE(t1_ > 0.0, "t1 must be positive");
-  OAGRID_REQUIRE(alpha_ > 0.0 && alpha_ <= 1.0, "power-law exponent in (0,1]");
-  OAGRID_REQUIRE(min_ >= 1 && min_ <= max_, "invalid processor range");
-}
-
-Seconds PowerLawModel::time_on(ProcCount g) const {
-  require_in_range(g);
-  return t1_ / std::pow(static_cast<double>(g), alpha_);
-}
-
-std::unique_ptr<SpeedupModel> PowerLawModel::clone() const {
-  return std::make_unique<PowerLawModel>(*this);
+std::vector<Seconds> power_law_main_times(Seconds t1, double alpha,
+                                          ProcCount min_procs,
+                                          ProcCount max_procs) {
+  OAGRID_REQUIRE(t1 > 0.0, "t1 must be positive");
+  OAGRID_REQUIRE(alpha > 0.0 && alpha <= 1.0, "power-law exponent in (0,1]");
+  OAGRID_REQUIRE(min_procs >= 1 && min_procs <= max_procs,
+                 "invalid processor range");
+  std::vector<Seconds> times;
+  times.reserve(static_cast<std::size_t>(max_procs - min_procs + 1));
+  for (ProcCount g = min_procs; g <= max_procs; ++g)
+    times.push_back(t1 / std::pow(static_cast<double>(g), alpha));
+  return times;
 }
 
 }  // namespace oagrid::platform

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "knapsack/knapsack.hpp"
+#include "sched/heuristics.hpp"
 
 namespace oagrid::sched {
 
@@ -72,25 +72,8 @@ Seconds GenericChainScheduler::body_time(ProcCount g) const {
 }
 
 GroupSchedule GenericChainScheduler::schedule(ProcCount resources) const {
-  OAGRID_REQUIRE(resources >= min_group_, "too few processors for any group");
-  knapsack::Problem problem;
-  for (ProcCount g = min_group_; g <= max_group_; ++g)
-    problem.items.push_back(knapsack::Item{g, 1.0 / body_time(g)});
-  problem.capacity = resources;
-  problem.max_items = workload_.chains;
-  const knapsack::Solution solution = knapsack::solve_dp(problem);
-
-  GroupSchedule schedule;
-  for (std::size_t i = 0; i < solution.counts.size(); ++i) {
-    const ProcCount size = min_group_ + static_cast<ProcCount>(i);
-    for (Count c = 0; c < solution.counts[i]; ++c)
-      schedule.group_sizes.push_back(size);
-  }
-  std::sort(schedule.group_sizes.begin(), schedule.group_sizes.end(),
-            std::greater<>());
-  schedule.post_pool = resources - solution.weight_used;
-  schedule.post_policy = PostPolicy::kPoolThenRetired;
-  return schedule;
+  return knapsack_grouping(virtual_cluster("generic", resources),
+                           {workload_.chains, workload_.instances});
 }
 
 platform::Cluster GenericChainScheduler::virtual_cluster(

@@ -15,14 +15,14 @@
 ///  2. *Body timing* — the remaining body executed by one group of g
 ///     processors takes the body's critical-path time with every moldable
 ///     node at g processors (within-group branch overlap allowed).
-///  3. *Knapsack grouping* — group sizes are chosen exactly as in
-///     Improvement 3: maximize sum 1/T_body(g_i) under the resource and
+///  3. *Knapsack grouping* — the body table and tail duration form a
+///     virtual cluster, and schedule() is knapsack_grouping on it with one
+///     scenario per chain: maximize sum 1/T_body(g_i) under the resource and
 ///     chain-count constraints.
 ///
-/// On the Ocean-Atmosphere fused template this reduces *exactly* to
-/// knapsack_grouping (tests assert it), and the produced virtual cluster
-/// (body table + tail duration) can be executed by the same ensemble
-/// simulator.
+/// On the Ocean-Atmosphere fused template this reduces exactly to
+/// knapsack_grouping by construction (tests assert it), and the virtual
+/// cluster can be executed by the same ensemble simulator.
 
 #include <optional>
 #include <vector>
@@ -63,7 +63,8 @@ class GenericChainScheduler {
   /// Sequential time of one instance's tail on one pool processor.
   [[nodiscard]] Seconds tail_time() const noexcept { return tail_time_; }
 
-  /// The knapsack grouping for `resources` processors.
+  /// knapsack_grouping on virtual_cluster(resources), with `chains`
+  /// scenarios of `instances` months.
   [[nodiscard]] GroupSchedule schedule(ProcCount resources) const;
 
   /// Equivalent (body-table, tail-duration) cluster so the ensemble

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "knapsack/knapsack.hpp"
 #include "obs/obs.hpp"
 
 namespace oagrid::sched {
@@ -100,19 +99,17 @@ GroupSchedule all_for_main_grouping(const platform::Cluster& cluster,
   return schedule;
 }
 
-namespace {
-
-/// The §4.2 item universe for `cluster` with a cardinality cap of
-/// `scenarios` groups (never more groups than runnable scenarios).
-knapsack::Problem knapsack_problem_for(const platform::Cluster& cluster,
-                                       Count scenarios) {
+knapsack::Problem grouping_knapsack(const platform::Cluster& cluster,
+                                    Count max_groups) {
   knapsack::Problem problem;
   for (ProcCount g = cluster.min_group(); g <= cluster.max_group(); ++g)
     problem.items.push_back(knapsack::Item{g, 1.0 / cluster.main_time(g)});
   problem.capacity = cluster.resources();
-  problem.max_items = scenarios;
+  problem.max_items = max_groups;
   return problem;
 }
+
+namespace {
 
 /// DP state space (k <= capacity/min_weight cardinality rows, capacity+1
 /// weight columns, one relaxation per item kind) — the work a DP sweep does.
@@ -152,7 +149,7 @@ GroupSchedule knapsack_grouping(const platform::Cluster& cluster,
   OAGRID_REQUIRE(cluster.resources() >= cluster.min_group(),
                  "cluster too small for any group");
   const knapsack::Problem problem =
-      knapsack_problem_for(cluster, ensemble.scenarios);
+      grouping_knapsack(cluster, ensemble.scenarios);
   if (obs::enabled()) count_dp_cells(problem, cluster.min_group());
   return schedule_from_solution(cluster, knapsack::solve_dp(problem));
 }
@@ -163,7 +160,7 @@ std::vector<GroupSchedule> knapsack_grouping_family(
   OAGRID_REQUIRE(cluster.resources() >= cluster.min_group(),
                  "cluster too small for any group");
   const knapsack::Problem problem =
-      knapsack_problem_for(cluster, ensemble.scenarios);
+      grouping_knapsack(cluster, ensemble.scenarios);
   if (obs::enabled()) {
     count_dp_cells(problem, cluster.min_group());
     // Solves the per-k route would have paid but the shared sweep does not.

@@ -4,6 +4,7 @@
 /// improvements of §4.2), each producing a GroupSchedule.
 
 #include "appmodel/ensemble.hpp"
+#include "knapsack/knapsack.hpp"
 #include "sched/group_schedule.hpp"
 #include "sched/makespan_model.hpp"
 
@@ -37,8 +38,15 @@ enum class Heuristic {
 [[nodiscard]] GroupSchedule all_for_main_grouping(
     const platform::Cluster& cluster, const appmodel::Ensemble& ensemble);
 
+/// The §4.2 knapsack instance of `cluster`: one item per admissible group
+/// size g, weighing g processors and worth 1/T[g], capacity R, and at most
+/// `max_groups` groups. Every knapsack over a cluster's table is built here.
+[[nodiscard]] knapsack::Problem grouping_knapsack(
+    const platform::Cluster& cluster, Count max_groups);
+
 /// Improvement 3: the knapsack formulation — maximize sum n_i / T[i] with
-/// sum i*n_i <= R and sum n_i <= NS; leftover processors form the post pool.
+/// sum i*n_i <= R and sum n_i <= NS (never more groups than runnable
+/// scenarios); leftover processors form the post pool.
 [[nodiscard]] GroupSchedule knapsack_grouping(
     const platform::Cluster& cluster, const appmodel::Ensemble& ensemble);
 

@@ -40,12 +40,11 @@ Seconds charged_makespan(std::span<const PerformanceVector> performance,
   return worst;
 }
 
-/// One candidate placement: cluster `cluster` receiving its
-/// (count_at_push + 1)-th scenario would drive its makespan to `value`.
+/// One candidate placement: cluster `cluster` receiving its next scenario
+/// would drive its makespan to `value`.
 struct HeapEntry {
   Seconds value;
   std::size_t cluster;
-  Count count_at_push;
 };
 
 /// Min-heap order on (value, cluster id): the pop is the lowest candidate
@@ -62,13 +61,12 @@ struct HeapAfter {
 using CandidateHeap =
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapAfter>;
 
-/// Algorithm 1 driven by a lazy-deletion min-heap instead of a per-scenario
-/// full-cluster scan: O(NS log C) pops instead of O(NS * C) comparisons.
-/// Only the cluster that receives a scenario sees its candidate change, so
-/// each placement invalidates exactly one entry — which is immediately
-/// replaced. Entries carry the cluster's dag count at push time and any
-/// entry whose count went stale is recomputed on pop (`charge` may capture
-/// state, so stale values are never trusted).
+/// Algorithm 1 driven by a min-heap instead of a per-scenario full-cluster
+/// scan: O(NS log C) pops instead of O(NS * C) comparisons. The heap holds
+/// exactly one entry per cluster, and every entry is current: only the
+/// cluster that receives a scenario sees its candidate change, and its entry
+/// is the one just popped, so the replacement is pushed at once (`charge`
+/// is evaluated once per push, in the order the placements happen).
 Repartition heap_repartition(std::span<const PerformanceVector> performance,
                              Count scenarios, const PlacementCharge* charge) {
   validate_inputs(performance, scenarios);
@@ -81,7 +79,7 @@ Repartition heap_repartition(std::span<const PerformanceVector> performance,
     const auto next = static_cast<std::size_t>(result.dags_per_cluster[c]);
     Seconds value = performance[c][next];  // makespan of next+1 dags
     if (charge != nullptr) value += (*charge)(c, static_cast<Count>(next) + 1);
-    return HeapEntry{value, c, result.dags_per_cluster[c]};
+    return HeapEntry{value, c};
   };
 
   CandidateHeap heap;
@@ -89,15 +87,9 @@ Repartition heap_repartition(std::span<const PerformanceVector> performance,
 
   std::uint64_t pops = 0;
   for (Count dag = 0; dag < scenarios; ++dag) {
-    HeapEntry top = heap.top();
+    const HeapEntry top = heap.top();
     heap.pop();
     ++pops;
-    while (top.count_at_push != result.dags_per_cluster[top.cluster]) {
-      heap.push(candidate_for(top.cluster));  // lazy deletion: refresh + retry
-      top = heap.top();
-      heap.pop();
-      ++pops;
-    }
     ++result.dags_per_cluster[top.cluster];
     result.assignment.push_back(static_cast<ClusterId>(top.cluster));
     // The assigned cluster's candidate is the only one that moved; its next

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 
-#include "knapsack/knapsack.hpp"
+#include "sched/heuristics.hpp"
 
 namespace oagrid::sched {
 
 double best_throughput(const platform::Cluster& cluster, Count max_groups) {
   OAGRID_REQUIRE(max_groups >= 0, "negative group cap");
   if (max_groups == 0 || cluster.resources() < cluster.min_group()) return 0.0;
-  knapsack::Problem problem;
-  for (ProcCount g = cluster.min_group(); g <= cluster.max_group(); ++g)
-    problem.items.push_back(knapsack::Item{g, 1.0 / cluster.main_time(g)});
-  problem.capacity = cluster.resources();
-  problem.max_items = max_groups;
-  return knapsack::solve_dp(problem).value;
+  return knapsack::solve_dp(grouping_knapsack(cluster, max_groups)).value;
 }
 
 PerformanceVector throughput_performance_vector(
@@ -26,14 +21,9 @@ PerformanceVector throughput_performance_vector(
   // re-run the whole DP each time). A cluster below the minimum group size
   // has no family to solve: every throughput is zero.
   std::vector<knapsack::Solution> family;
-  if (cluster.resources() >= cluster.min_group()) {
-    knapsack::Problem problem;
-    for (ProcCount g = cluster.min_group(); g <= cluster.max_group(); ++g)
-      problem.items.push_back(knapsack::Item{g, 1.0 / cluster.main_time(g)});
-    problem.capacity = cluster.resources();
-    problem.max_items = max_scenarios;
-    family = knapsack::solve_dp_family(problem);
-  }
+  if (cluster.resources() >= cluster.min_group())
+    family =
+        knapsack::solve_dp_family(grouping_knapsack(cluster, max_scenarios));
   PerformanceVector vec;
   vec.reserve(static_cast<std::size_t>(max_scenarios));
   Seconds prev = 0.0;

@@ -168,7 +168,7 @@ Event decode_event(const std::string& payload) {
     case EventType::kCampaignRejected:
       break;
     case EventType::kCampaignAdmitted: {
-      const auto n = in.get<std::uint32_t>();
+      const auto n = in.get_count(sizeof(ClusterId));
       event.assignment.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i)
         event.assignment.push_back(in.get<ClusterId>());

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "appmodel/ensemble.hpp"
+#include "common/hash.hpp"
 #include "obs/obs.hpp"
 #include "sched/repartition.hpp"
 #include "service/wire.hpp"
@@ -65,13 +66,7 @@ std::uint64_t CampaignService::journal_seq() const noexcept {
 }
 
 std::uint64_t CampaignService::state_signature() const {
-  const std::string bytes = encode_state();
-  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const char byte : bytes) {
-    hash ^= static_cast<std::uint8_t>(byte);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return fnv1a(encode_state(), kFnv1aShortBasis);
 }
 
 JournalConfig CampaignService::journal_config() const {
@@ -1034,32 +1029,65 @@ std::string CampaignService::encode_state() const {
   return out;
 }
 
+namespace {
+
+/// Refuses a snapshot whose ids this service cannot hold (one taken on a
+/// different grid, or corrupt), before any of them indexes its state.
+[[noreturn]] void refuse_snapshot(const std::string& mismatch) {
+  throw std::invalid_argument("oagrid: snapshot does not fit this service: " +
+                              mismatch);
+}
+
+}  // namespace
+
 void CampaignService::decode_state(const std::string& payload) {
   Cursor in(payload);
   now_ = in.get<Seconds>();
   next_campaign_id_ = in.get<CampaignId>();
   last_submit_at_ = in.get<Seconds>();
 
+  const ClusterId cluster_count = grid_.cluster_count();
+  const auto check_cluster = [&](ClusterId c, const char* where) {
+    if (c < 0 || c >= cluster_count)
+      refuse_snapshot(std::string(where) + " names cluster " +
+                      std::to_string(c) + ", this grid has " +
+                      std::to_string(cluster_count));
+  };
+  const auto check_campaign = [&](CampaignId id, const char* where) {
+    if (!campaigns_.contains(id))
+      refuse_snapshot(std::string(where) + " names unknown campaign " +
+                      std::to_string(id));
+  };
+
   const auto n_campaigns = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_campaigns; ++i) {
     CampaignState state;
     state.id = in.get<CampaignId>();
+    if (!campaigns_.empty() && state.id <= campaigns_.rbegin()->first)
+      refuse_snapshot("campaign ids out of order");
     state.spec.owner = in.get_string();
     state.spec.weight = in.get<double>();
     state.spec.scenarios = in.get<Count>();
     state.spec.months = in.get<Count>();
-    state.status = static_cast<CampaignStatus>(in.get<std::uint8_t>());
+    const auto status = in.get<std::uint8_t>();
+    if (status > static_cast<std::uint8_t>(CampaignStatus::kCompleted))
+      refuse_snapshot("unknown campaign status " + std::to_string(status));
+    state.status = static_cast<CampaignStatus>(status);
     state.submit_time = in.get<Seconds>();
     state.admit_time = in.get<Seconds>();
     state.finish_time = in.get<Seconds>();
     state.months_done = in.get<Count>();
-    const auto scenarios = in.get<std::uint32_t>();
+    const auto scenarios = in.get_count(sizeof(MonthIndex) + sizeof(Seconds) +
+                                        sizeof(ClusterId));
     state.frontier.resize(scenarios);
     state.scenario_ready.resize(scenarios);
     state.assignment.resize(scenarios);
     for (auto& m : state.frontier) m = in.get<MonthIndex>();
     for (auto& t : state.scenario_ready) t = in.get<Seconds>();
-    for (auto& c : state.assignment) c = in.get<ClusterId>();
+    for (auto& c : state.assignment) {
+      c = in.get<ClusterId>();
+      check_cluster(c, "an assignment");
+    }
     if (state.status == CampaignStatus::kRunning) {
       scenario_running_[state.id] = std::vector<char>(scenarios, 0);
       // Rebuild the claim from the decoded frontier. Campaigns arrive in
@@ -1072,19 +1100,24 @@ void CampaignService::decode_state(const std::string& payload) {
     campaigns_.emplace(state.id, std::move(state));
   }
 
-  const auto n_queued = in.get<std::uint32_t>();
+  const auto n_queued = in.get_count(sizeof(CampaignId));
   OAGRID_REQUIRE(n_queued <= queue_.capacity(),
                  "snapshot queue exceeds the configured capacity");
   std::vector<CampaignId> queued(n_queued);
-  for (CampaignId& id : queued) id = in.get<CampaignId>();
+  for (CampaignId& id : queued) {
+    id = in.get<CampaignId>();
+    check_campaign(id, "the queue");
+  }
 
   const auto n_allotments = in.get<std::uint32_t>();
   for (std::uint32_t i = 0; i < n_allotments; ++i) {
     const auto campaign = in.get<CampaignId>();
     const auto cluster = in.get<ClusterId>();
+    check_campaign(campaign, "an allotment");
+    check_cluster(cluster, "an allotment");
     Allotment allotment;
     allotment.procs = in.get<ProcCount>();
-    const auto groups = in.get<std::uint32_t>();
+    const auto groups = in.get_count(sizeof(ProcCount));
     allotment.group_sizes.resize(groups);
     for (auto& g : allotment.group_sizes) g = in.get<ProcCount>();
     allotment.group_busy.assign(groups, 0);
@@ -1101,6 +1134,7 @@ void CampaignService::decode_state(const std::string& payload) {
     const auto n_targets = in.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < n_targets; ++i) {
       const auto campaign = in.get<CampaignId>();
+      check_campaign(campaign, "a lease target");
       runtime.targets[campaign] = in.get<ProcCount>();
     }
   }
@@ -1121,12 +1155,26 @@ void CampaignService::decode_state(const std::string& payload) {
     event.group = in.get<int>();
     event.scenario = in.get<ScenarioId>();
     event.month = in.get<MonthIndex>();
+    if (event.kind != kSubmission && event.kind != kCompletion)
+      refuse_snapshot("unknown event kind " + std::to_string(event.kind));
+    check_campaign(event.campaign, "an event");
     // Re-derive the transient run state the snapshot deliberately omits.
     if (event.kind == kCompletion) {
-      scenario_running_.at(event.campaign)[static_cast<std::size_t>(
-          event.scenario)] = 1;
-      allotments_.at({event.campaign, event.cluster})
-          .group_busy[static_cast<std::size_t>(event.group)] = 1;
+      check_cluster(event.cluster, "an event");
+      const auto running = scenario_running_.find(event.campaign);
+      if (running == scenario_running_.end() || event.scenario < 0 ||
+          static_cast<std::size_t>(event.scenario) >= running->second.size())
+        refuse_snapshot("an event names scenario " +
+                        std::to_string(event.scenario) +
+                        " of a campaign that does not run it");
+      const auto allotment = allotments_.find({event.campaign, event.cluster});
+      if (allotment == allotments_.end() || event.group < 0 ||
+          static_cast<std::size_t>(event.group) >=
+              allotment->second.group_busy.size())
+        refuse_snapshot("an event names group " + std::to_string(event.group) +
+                        " outside its allotment");
+      running->second[static_cast<std::size_t>(event.scenario)] = 1;
+      allotment->second.group_busy[static_cast<std::size_t>(event.group)] = 1;
       ++clusters_[static_cast<std::size_t>(event.cluster)].running;
     }
     events_.insert(event);

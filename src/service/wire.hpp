@@ -3,6 +3,7 @@
 /// \brief Flat host-endian binary encoding helpers shared by the journal
 /// record codec and the snapshot state codec (service-internal).
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -43,6 +44,15 @@ class Cursor {
     std::string s(data_, pos_, size);
     pos_ += size;
     return s;
+  }
+
+  /// Reads an element count and refuses it, before anything is sized by
+  /// it, when `count` elements of at least `min_bytes` each would run past
+  /// the end of the payload.
+  std::uint32_t get_count(std::size_t min_bytes) {
+    const auto count = get<std::uint32_t>();
+    need(static_cast<std::size_t>(count) * min_bytes);
+    return count;
   }
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }

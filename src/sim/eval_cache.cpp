@@ -1,35 +1,15 @@
 #include "sim/eval_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
 
+#include "common/hash.hpp"
 #include "obs/obs.hpp"
 
 namespace oagrid::sim {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
-
-struct Fnv1a {
-  std::uint64_t state = kFnvOffset;
-
-  void bytes(const void* data, std::size_t n) noexcept {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      state ^= p[i];
-      state *= kFnvPrime;
-    }
-  }
-  void u64(std::uint64_t v) noexcept { bytes(&v, sizeof v); }
-  void i64(std::int64_t v) noexcept {
-    u64(static_cast<std::uint64_t>(v));
-  }
-  void f64(double v) noexcept { u64(std::bit_cast<std::uint64_t>(v)); }
-};
 
 /// Mirrors a cache event into the obs registry when observability is on.
 /// Function-local statics cache the registry lookups; references stay valid

@@ -19,7 +19,7 @@
 ///    normalized to zero when the model is inactive, so "no perturbation,
 ///    seed 1" and "no perturbation, seed 7" share an entry). Cluster
 ///    identity is the signature, not the object address, so temporaries from
-///    Cluster::with_resources()/scaled() hit naturally.
+///    Cluster::with_resources() hit naturally.
 ///  * The store is sharded 16 ways (shard = key hash, top bits) with a plain
 ///    mutex + unordered_map per shard: lookups from parallel search workers
 ///    touch different shards with high probability and the critical section

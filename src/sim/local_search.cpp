@@ -1,12 +1,11 @@
 #include "sim/local_search.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <numeric>
 #include <unordered_map>
 
+#include "common/hash.hpp"
 #include "common/thread_pool.hpp"
-#include "knapsack/knapsack.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/ensemble_sim.hpp"
 #include "sim/eval_cache.hpp"
@@ -20,12 +19,9 @@ using Sizes = std::vector<ProcCount>;
 /// and a flat hash probe beats std::map's pointer chase per lookup.
 struct SizesHash {
   std::size_t operator()(const Sizes& sizes) const noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const ProcCount s : sizes) {
-      h ^= static_cast<std::uint32_t>(s);
-      h *= 0x00000100000001b3ULL;
-    }
-    return static_cast<std::size_t>(h);
+    Fnv1a h;
+    for (const ProcCount s : sizes) h.i64(s);
+    return static_cast<std::size_t>(h.state);
   }
 };
 
@@ -158,26 +154,15 @@ LocalSearchResult local_search_grouping(const platform::Cluster& cluster,
   };
 
   // Starting points: the knapsack solution with cardinality capped at every
-  // k in [1, NS] (deduplicated — caps beyond the natural group count repeat).
+  // k in [1, NS], all from one DP sweep and already in canonical order
+  // (deduplicated — caps beyond the natural group count repeat).
   std::vector<Sizes> starts;
   starts.reserve(static_cast<std::size_t>(ensemble.scenarios));
-  for (Count k = 1; k <= ensemble.scenarios; ++k) {
-    knapsack::Problem problem;
-    for (ProcCount g = cluster.min_group(); g <= cluster.max_group(); ++g)
-      problem.items.push_back(knapsack::Item{g, 1.0 / cluster.main_time(g)});
-    problem.capacity = cluster.resources();
-    problem.max_items = k;
-    const knapsack::Solution solution = knapsack::solve_dp(problem);
-    Sizes sizes;
-    for (std::size_t i = 0; i < solution.counts.size(); ++i)
-      for (Count c = 0; c < solution.counts[i]; ++c)
-        sizes.push_back(cluster.min_group() + static_cast<ProcCount>(i));
-    if (sizes.empty()) continue;
-    starts.push_back(canonical(std::move(sizes)));
-  }
+  for (sched::GroupSchedule& start :
+       sched::knapsack_grouping_family(cluster, ensemble))
+    starts.push_back(std::move(start.group_sizes));
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
-  OAGRID_REQUIRE(!starts.empty(), "no feasible grouping exists");
 
   ThreadPool& pool = shared_pool();
   std::vector<const Sizes*> examined;

@@ -28,11 +28,15 @@ struct CliResult {
 };
 
 /// Runs the CLI with `args`, capturing both streams and the exit status;
-/// `stderr_to` is the shell redirection target of stderr.
+/// `stderr_to` is the shell redirection target of stderr. A positive
+/// `timeout_s` bounds the run: a CLI that would never finish is killed and
+/// reports timeout(1)'s status 124 instead of blocking the suite.
 CliResult run_cli(const std::string& args,
-                  const std::string& stderr_to = "&1") {
+                  const std::string& stderr_to = "&1", int timeout_s = 0) {
+  const std::string bound =
+      timeout_s > 0 ? "timeout " + std::to_string(timeout_s) + " " : "";
   const std::string command =
-      std::string(OAGRID_CLI_PATH) + " " + args + " 2>" + stderr_to;
+      bound + OAGRID_CLI_PATH + " " + args + " 2>" + stderr_to;
   CliResult result;
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return result;
@@ -184,6 +188,49 @@ TEST(CliErrors, FailuresWithClustersRunThroughTheMiddleware) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("failures:"), std::string::npos)
       << result.output;
+}
+
+/// Bad numeric input must exit 1 with a diagnostic naming `what`, within a
+/// bounded time.
+void expect_rejected(const std::string& args, const std::string& what) {
+  const CliResult result = run_cli(args, "&1", 30);
+  EXPECT_EQ(result.exit_code, 1) << args << "\n" << result.output;
+  EXPECT_NE(result.output.find(what), std::string::npos) << result.output;
+}
+
+TEST(CliErrors, SweepZeroStepIsRejected) {
+  expect_rejected("sweep --step 0", "--step");
+}
+
+TEST(CliErrors, SweepNegativeStepIsRejected) {
+  expect_rejected("sweep --step -4", "--step");
+}
+
+TEST(CliErrors, SweepEmptyRangeIsRejected) {
+  expect_rejected("sweep --from 40 --to 20", "--from");
+}
+
+TEST(CliErrors, DynamicWithoutSeedsIsRejected) {
+  expect_rejected("dynamic --seeds 0", "--seeds");
+}
+
+TEST(CliErrors, CampaignCountsWithTrailingJunkAreRejected) {
+  expect_rejected("serve --campaigns alice:3x12abc",
+                  "bad campaign 'alice:3x12abc'");
+}
+
+TEST(CliErrors, CampaignWeightWithTrailingJunkIsRejected) {
+  expect_rejected("serve --campaigns alice:3x12:w2junk",
+                  "bad campaign 'alice:3x12:w2junk'");
+}
+
+TEST(CliErrors, CampaignArrivalWithTrailingJunkIsRejected) {
+  expect_rejected("serve --campaigns alice:3x12@5x",
+                  "bad campaign 'alice:3x12@5x'");
+}
+
+TEST(CliErrors, CampaignWithoutMonthsIsRejected) {
+  expect_rejected("serve --campaigns alice:3x", "bad campaign 'alice:3x'");
 }
 
 TEST(CliErrors, GoodPathsStillExitZero) {

@@ -92,6 +92,14 @@ TEST(FailureModel, SignatureCoversParametersAndSeed) {
   EXPECT_NE(a.signature(), c.signature());
 }
 
+TEST(FailureModel, SignatureValueIsStable) {
+  // Eval-cache keys carry this signature, so its value (not just its
+  // equality) must survive refactors of the hash behind it.
+  EXPECT_EQ(FailureModel::uniform_exponential(3, 86411.0, 3600.0, 7)
+                .signature(),
+            0x081891440ff9e3eeULL);
+}
+
 TEST(RecoveryPolicy, NamesRoundTrip) {
   EXPECT_EQ(recovery_policy_from("wait"), RecoveryPolicy::kWaitForRepair);
   EXPECT_EQ(recovery_policy_from("reschedule"),

@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "platform/profiles.hpp"
-#include "platform/speedup.hpp"
 
 namespace oagrid::platform {
 namespace {
@@ -42,14 +43,6 @@ TEST(Cluster, ZeroPostTimeAllowedForSyntheticWorkloads) {
   EXPECT_DOUBLE_EQ(c.post_time(), 0.0);
 }
 
-TEST(Cluster, FromSpeedupModel) {
-  const CoupledModel model;
-  const Cluster c("ref", 64, model, 180.0);
-  EXPECT_EQ(c.min_group(), 4);
-  EXPECT_EQ(c.max_group(), 11);
-  EXPECT_DOUBLE_EQ(c.main_time(11), model.time_on(11));
-}
-
 TEST(Cluster, WithResources) {
   const Cluster c = simple().with_resources(99);
   EXPECT_EQ(c.resources(), 99);
@@ -57,22 +50,8 @@ TEST(Cluster, WithResources) {
   EXPECT_THROW((void)simple().with_resources(0), std::invalid_argument);
 }
 
-TEST(Cluster, ScaledMultipliesAllTimes) {
-  const Cluster c = simple().scaled(2.0);
-  EXPECT_DOUBLE_EQ(c.main_time(4), 200);
-  EXPECT_DOUBLE_EQ(c.post_time(), 20);
-  EXPECT_THROW((void)simple().scaled(0.0), std::invalid_argument);
-}
-
-TEST(Cluster, MonotoneSpeedupDetection) {
-  EXPECT_TRUE(simple().monotone_speedup());
-  const Cluster bumpy("b", 40, 4, {100, 110, 80}, 10);
-  EXPECT_FALSE(bumpy.monotone_speedup());
-}
-
 TEST(Profiles, FiveProfilesSpanPaperAnchors) {
-  const auto profiles = builtin_profiles();
-  ASSERT_EQ(profiles.size(), 5u);
+  ASSERT_EQ(make_builtin_grid(64).cluster_count(), 5);
   const Cluster fastest = make_builtin_cluster(0, 64);
   const Cluster slowest = make_builtin_cluster(4, 64);
   // §6: fastest runs one main task on 11 resources in 1177 s, slowest 1622 s.
@@ -81,8 +60,12 @@ TEST(Profiles, FiveProfilesSpanPaperAnchors) {
 }
 
 TEST(Profiles, AllMonotoneAndOrderedBySpeed) {
-  for (int i = 0; i < 5; ++i)
-    EXPECT_TRUE(make_builtin_cluster(i, 32).monotone_speedup()) << i;
+  for (int i = 0; i < 5; ++i) {
+    const Cluster c = make_builtin_cluster(i, 32);
+    EXPECT_TRUE(std::is_sorted(c.main_times().begin(), c.main_times().end(),
+                               std::greater<>()))
+        << i;
+  }
   for (int i = 0; i + 1 < 5; ++i)
     EXPECT_LT(make_builtin_cluster(i, 32).main_time(11),
               make_builtin_cluster(i + 1, 32).main_time(11));

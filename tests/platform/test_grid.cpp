@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -48,7 +50,8 @@ TEST(Grid, RandomGridRespectsBounds) {
   for (const auto& c : grid.clusters()) {
     EXPECT_GE(c.resources(), 15);
     EXPECT_LE(c.resources(), 60);
-    EXPECT_TRUE(c.monotone_speedup());
+    EXPECT_TRUE(std::is_sorted(c.main_times().begin(), c.main_times().end(),
+                               std::greater<>()));
     EXPECT_EQ(c.min_group(), 4);
     EXPECT_EQ(c.max_group(), 11);
   }

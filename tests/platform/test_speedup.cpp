@@ -4,116 +4,86 @@
 
 #include <stdexcept>
 
-#include "platform/profiles.hpp"
-
 namespace oagrid::platform {
 namespace {
 
-TEST(MeasuredTable, BasicLookup) {
-  const MeasuredTable table(4, {100, 90, 80});
-  EXPECT_EQ(table.min_procs(), 4);
-  EXPECT_EQ(table.max_procs(), 6);
-  EXPECT_DOUBLE_EQ(table.time_on(4), 100);
-  EXPECT_DOUBLE_EQ(table.time_on(6), 80);
-}
-
-TEST(MeasuredTable, RangeEnforced) {
-  const MeasuredTable table(4, {100, 90});
-  EXPECT_THROW((void)table.time_on(3), std::invalid_argument);
-  EXPECT_THROW((void)table.time_on(6), std::invalid_argument);
-}
-
-TEST(MeasuredTable, RejectsBadInput) {
-  EXPECT_THROW(MeasuredTable(0, {1.0}), std::invalid_argument);
-  EXPECT_THROW(MeasuredTable(4, {}), std::invalid_argument);
-  EXPECT_THROW(MeasuredTable(4, {1.0, -2.0}), std::invalid_argument);
-}
-
 TEST(CoupledModel, PaperAnchors) {
-  // The reference model must hit the paper's pcr benchmark: ~1260 s on 11
-  // processors (1258 from the model + 2 s fused pre-processing).
-  const CoupledModel model;
-  EXPECT_EQ(model.min_procs(), 4);
-  EXPECT_EQ(model.max_procs(), 11);
-  EXPECT_NEAR(model.time_on(11), 1258.0, 5.0);
+  // The reference table must hit the paper's pcr benchmark: ~1260 s on 11
+  // processors (1258 from the model + 2 s fused pre-processing). It covers
+  // G = 4..11: index 0 is pinned + 1 processors.
+  const std::vector<Seconds> times = coupled_main_times();
+  EXPECT_EQ(CoupledParams{}.pinned + 1, 4);
+  ASSERT_EQ(times.size(), 8u);
+  EXPECT_NEAR(times.back(), 1258.0, 5.0);
 }
 
 TEST(CoupledModel, MonotoneDecreasing) {
-  const CoupledModel model;
-  for (ProcCount g = model.min_procs(); g < model.max_procs(); ++g)
-    EXPECT_GT(model.time_on(g), model.time_on(g + 1)) << "at g=" << g;
+  const std::vector<Seconds> times = coupled_main_times();
+  for (std::size_t i = 0; i + 1 < times.size(); ++i)
+    EXPECT_GT(times[i], times[i + 1]) << "at g=" << 4 + i;
 }
 
 TEST(CoupledModel, SaturationStopsSpeedup) {
-  CoupledModel::Params p = reference_coupled_params();
+  CoupledParams p;
   p.max_group = 14;  // allow beyond the paper's 11 to observe the plateau
-  const CoupledModel model(p);
+  const std::vector<Seconds> times = coupled_main_times(p);
   // 11 procs = 8 atmosphere workers = saturation; 12, 13, 14 change nothing.
-  EXPECT_DOUBLE_EQ(model.time_on(12), model.time_on(11));
-  EXPECT_DOUBLE_EQ(model.time_on(14), model.time_on(11));
+  ASSERT_EQ(times.size(), 11u);
+  EXPECT_DOUBLE_EQ(times[12 - 4], times[11 - 4]);
+  EXPECT_DOUBLE_EQ(times[14 - 4], times[11 - 4]);
 }
 
 TEST(CoupledModel, SpeedFactorScalesLinearly) {
-  CoupledModel::Params p = reference_coupled_params();
+  CoupledParams p;
   p.speed_factor = 2.0;
-  const CoupledModel slow(p);
-  const CoupledModel fast;
-  for (ProcCount g = 4; g <= 11; ++g)
-    EXPECT_NEAR(slow.time_on(g), 2.0 * fast.time_on(g), 1e-9);
+  const std::vector<Seconds> slow = coupled_main_times(p);
+  const std::vector<Seconds> fast = coupled_main_times();
+  ASSERT_EQ(slow.size(), fast.size());
+  for (std::size_t i = 0; i < fast.size(); ++i)
+    EXPECT_NEAR(slow[i], 2.0 * fast[i], 1e-9);
 }
 
 TEST(CoupledModel, ValidatesParams) {
-  CoupledModel::Params p = reference_coupled_params();
+  CoupledParams p;
   p.speed_factor = 0;
-  EXPECT_THROW(CoupledModel{p}, std::invalid_argument);
-  p = reference_coupled_params();
+  EXPECT_THROW((void)coupled_main_times(p), std::invalid_argument);
+  p = CoupledParams{};
   p.max_group = 3;  // <= pinned
-  EXPECT_THROW(CoupledModel{p}, std::invalid_argument);
-  p = reference_coupled_params();
+  EXPECT_THROW((void)coupled_main_times(p), std::invalid_argument);
+  p = CoupledParams{};
   p.atm_work = -1;
-  EXPECT_THROW(CoupledModel{p}, std::invalid_argument);
+  EXPECT_THROW((void)coupled_main_times(p), std::invalid_argument);
 }
 
-TEST(AmdahlModel, LimitsAndShape) {
-  const AmdahlModel model(100.0, 0.2, 1, 64);
-  EXPECT_DOUBLE_EQ(model.time_on(1), 100.0);
+TEST(AmdahlMainTimes, LimitsAndShape) {
+  const std::vector<Seconds> times = amdahl_main_times(100.0, 0.2, 1, 64);
+  ASSERT_EQ(times.size(), 64u);
+  EXPECT_DOUBLE_EQ(times.front(), 100.0);
   // Infinite processors would leave the serial 20 s; 64 is close.
-  EXPECT_NEAR(model.time_on(64), 100.0 * (0.2 + 0.8 / 64), 1e-9);
-  for (ProcCount g = 1; g < 64; ++g)
-    EXPECT_GT(model.time_on(g), model.time_on(g + 1));
+  EXPECT_NEAR(times.back(), 100.0 * (0.2 + 0.8 / 64), 1e-9);
+  for (std::size_t i = 0; i + 1 < times.size(); ++i)
+    EXPECT_GT(times[i], times[i + 1]);
 }
 
-TEST(AmdahlModel, Validation) {
-  EXPECT_THROW(AmdahlModel(0, 0.5, 1, 4), std::invalid_argument);
-  EXPECT_THROW(AmdahlModel(10, 1.5, 1, 4), std::invalid_argument);
-  EXPECT_THROW(AmdahlModel(10, 0.5, 4, 1), std::invalid_argument);
+TEST(AmdahlMainTimes, Validation) {
+  EXPECT_THROW((void)amdahl_main_times(0, 0.5, 1, 4), std::invalid_argument);
+  EXPECT_THROW((void)amdahl_main_times(10, 1.5, 1, 4), std::invalid_argument);
+  EXPECT_THROW((void)amdahl_main_times(10, 0.5, 4, 1), std::invalid_argument);
 }
 
-TEST(PowerLawModel, Shape) {
-  const PowerLawModel model(100.0, 0.5, 1, 16);
-  EXPECT_DOUBLE_EQ(model.time_on(1), 100.0);
-  EXPECT_NEAR(model.time_on(4), 50.0, 1e-9);
-  EXPECT_NEAR(model.time_on(16), 25.0, 1e-9);
+TEST(PowerLawMainTimes, Shape) {
+  const std::vector<Seconds> times = power_law_main_times(100.0, 0.5, 1, 16);
+  ASSERT_EQ(times.size(), 16u);
+  EXPECT_DOUBLE_EQ(times[1 - 1], 100.0);
+  EXPECT_NEAR(times[4 - 1], 50.0, 1e-9);
+  EXPECT_NEAR(times[16 - 1], 25.0, 1e-9);
 }
 
-TEST(PowerLawModel, Validation) {
-  EXPECT_THROW(PowerLawModel(10, 0.0, 1, 4), std::invalid_argument);
-  EXPECT_THROW(PowerLawModel(10, 1.5, 1, 4), std::invalid_argument);
-}
-
-TEST(SpeedupModel, TabulateMatchesPointQueries) {
-  const CoupledModel model;
-  const auto table = model.tabulate();
-  ASSERT_EQ(table.size(), 8u);
-  for (ProcCount g = 4; g <= 11; ++g)
-    EXPECT_DOUBLE_EQ(table[static_cast<std::size_t>(g - 4)], model.time_on(g));
-}
-
-TEST(SpeedupModel, CloneIsIndependentAndEqual) {
-  const CoupledModel model;
-  const auto clone = model.clone();
-  for (ProcCount g = 4; g <= 11; ++g)
-    EXPECT_DOUBLE_EQ(clone->time_on(g), model.time_on(g));
+TEST(PowerLawMainTimes, Validation) {
+  EXPECT_THROW((void)power_law_main_times(10, 0.0, 1, 4),
+               std::invalid_argument);
+  EXPECT_THROW((void)power_law_main_times(10, 1.5, 1, 4),
+               std::invalid_argument);
 }
 
 }  // namespace

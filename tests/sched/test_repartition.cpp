@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "obs/obs.hpp"
 
 namespace oagrid::sched {
 namespace {
@@ -311,6 +313,39 @@ TEST(ChargedRepartition, HeapMatchesReferenceScanWithCharges) {
     EXPECT_EQ(heap.dags_per_cluster, ref.dags_per_cluster) << "trial " << trial;
     EXPECT_EQ(heap.makespan, ref.makespan) << "trial " << trial;
   }
+}
+
+TEST(Repartition, HeapPopsOncePerScenario) {
+  // The heap holds exactly one current entry per cluster, so every placement
+  // costs one pop, with or without a charge (bench/e2e reads the counter).
+  obs::set_enabled(true);
+  obs::reset();
+  obs::Counter& pops = obs::metrics().counter("sched.repartition.heap_pops");
+  Rng rng(0x504F5053);  // "POPS"
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(1, 8));
+    const Count ns = rng.uniform_int(1, 24);
+    std::vector<PerformanceVector> perf(static_cast<std::size_t>(n));
+    for (auto& v : perf) {
+      Seconds t = rng.uniform(5.0, 50.0);
+      for (Count k = 0; k < ns; ++k) {
+        v.push_back(t);
+        t = std::max(1.0, t + rng.uniform(-5.0, 20.0));  // not monotone
+      }
+    }
+    const double rate = rng.uniform(0.0, 10.0);
+    const PlacementCharge charge = [rate](std::size_t cluster, Count k) {
+      return rate * static_cast<double>(cluster) * static_cast<double>(k);
+    };
+    pops.reset();
+    (void)greedy_repartition(perf, ns);
+    EXPECT_EQ(pops.value(), static_cast<std::uint64_t>(ns)) << "trial " << trial;
+    pops.reset();
+    (void)greedy_repartition_charged(perf, ns, charge);
+    EXPECT_EQ(pops.value(), static_cast<std::uint64_t>(ns)) << "trial " << trial;
+  }
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 TEST(Repartition, BruteForceAssignmentConsistent) {

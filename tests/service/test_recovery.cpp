@@ -326,6 +326,46 @@ TEST(Recovery, ConfigMismatchIsRefused) {
   EXPECT_THROW((void)service->recover(), std::invalid_argument);
 }
 
+TEST(Recovery, SnapshotFromAnotherGridIsRefused) {
+  // A snapshot taken on five clusters names clusters 2..4; resuming it on
+  // two must be refused before any of those ids indexes the service's state.
+  const std::string dir = temp_dir("recovery-other-grid");
+  const platform::Grid five = platform::make_builtin_grid(20);
+  const auto spec = [](const std::string& owner, double weight, Count ns,
+                       Count nm) {
+    CampaignSpec s;
+    s.owner = owner;
+    s.weight = weight;
+    s.scenarios = ns;
+    s.months = nm;
+    return s;
+  };
+  ServiceOptions options;
+  options.journal_dir = dir;
+  options.snapshot_every = 8;
+  options.kill_after_records = 30;
+  options.group_commit = true;
+  {
+    CampaignService victim(five, options);
+    (void)victim.submit(spec("alice", 1.0, 3, 12), 0.0);
+    (void)victim.submit(spec("bob", 2.0, 4, 12), 0.0);
+    (void)victim.submit(spec("carol", 1.0, 5, 10), 0.0);
+    (void)victim.submit(spec("dave", 1.0, 3, 12), 3000.0);
+    ASSERT_FALSE(victim.run());
+    ASSERT_TRUE(victim.killed());
+  }
+  options.kill_after_records = -1;
+  CampaignService resumed(five.prefix(2), options);
+  try {
+    (void)resumed.recover();
+    FAIL() << "a five-cluster snapshot was resumed on two clusters";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("snapshot does not fit"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Recovery, RecoverNeedsAJournalDirectory) {
   auto service = make_service(ServiceOptions{});  // in-memory only
   EXPECT_THROW((void)service->recover(), std::invalid_argument);

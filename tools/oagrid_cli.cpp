@@ -29,6 +29,7 @@
 #include "appmodel/month.hpp"
 #include "climate/calibration.hpp"
 #include "common/argparse.hpp"
+#include "common/parse_error.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/checkpoint.hpp"
@@ -523,6 +524,8 @@ int cmd_dynamic(const std::vector<std::string>& argv) {
   args.parse(argv);
   const ObsSession obs_session(args);
 
+  const auto seeds = args.get_int("seeds");
+  if (seeds < 1) throw std::invalid_argument("--seeds must be >= 1");
   const auto grid =
       platform::make_builtin_grid(static_cast<ProcCount>(args.get_int("resources")))
           .prefix(static_cast<int>(args.get_int("clusters")));
@@ -536,7 +539,6 @@ int cmd_dynamic(const std::vector<std::string>& argv) {
        {sim::GridPolicy::kStatic, sim::GridPolicy::kRebalanceUnstarted,
         sim::GridPolicy::kMigrateWithState}) {
     double total = 0, moves = 0, stalls = 0;
-    const auto seeds = args.get_int("seeds");
     for (long long seed = 1; seed <= seeds; ++seed) {
       sim::DriftModel drift;
       drift.sigma = args.get_double("sigma");
@@ -674,9 +676,13 @@ int cmd_sweep(const std::vector<std::string>& argv) {
   if (const auto network = network_from(args, 1))
     sweep_options.restart_handoff =
         network->transfer_time(0, 0, appmodel::VolumeParams{}.restart_mb);
+  const long long from = args.get_int("from");
+  const long long to = args.get_int("to");
+  const long long step = args.get_int("step");
+  if (step < 1) throw std::invalid_argument("--step must be >= 1");
+  if (from > to) throw std::invalid_argument("--from must not exceed --to");
   std::vector<ProcCount> resource_grid;
-  for (long long r = args.get_int("from"); r <= args.get_int("to");
-       r += args.get_int("step"))
+  for (long long r = from; r <= to; r += step)
     resource_grid.push_back(static_cast<ProcCount>(r));
   const int profile = static_cast<int>(args.get_int("profile"));
   // The automatic cadence is anchored on the smallest swept cluster (the
@@ -753,10 +759,15 @@ std::vector<ServeEntry> parse_campaigns(const std::string& text) {
   std::string item;
   while (std::getline(list, item, ',')) {
     if (item.empty()) continue;
+    // Every number must span its whole token: "3x12abc" is no 3x12.
+    const auto number = [&](const std::string& token, auto& value) {
+      std::istringstream in(token);
+      if (!read_number(in, value) || !in.eof()) throw bad(item);
+    };
     ServeEntry entry;
     std::string body = item;
     if (const auto at = body.find('@'); at != std::string::npos) {
-      entry.at = std::stod(body.substr(at + 1));
+      number(body.substr(at + 1), entry.at);
       body.resize(at);
     }
     std::vector<std::string> parts;
@@ -767,12 +778,11 @@ std::vector<ServeEntry> parse_campaigns(const std::string& text) {
     entry.spec.owner = parts[0];
     const auto x = parts[1].find('x');
     if (x == std::string::npos) throw bad(item);
-    entry.spec.scenarios =
-        static_cast<Count>(std::stoll(parts[1].substr(0, x)));
-    entry.spec.months = static_cast<Count>(std::stoll(parts[1].substr(x + 1)));
+    number(parts[1].substr(0, x), entry.spec.scenarios);
+    number(parts[1].substr(x + 1), entry.spec.months);
     if (parts.size() == 3) {
       if (parts[2].size() < 2 || parts[2][0] != 'w') throw bad(item);
-      entry.spec.weight = std::stod(parts[2].substr(1));
+      number(parts[2].substr(1), entry.spec.weight);
     }
     entries.push_back(std::move(entry));
   }
