@@ -16,7 +16,10 @@ using wire::put_string;
 
 constexpr char kJournalMagic[4] = {'O', 'A', 'G', 'J'};
 constexpr char kSnapshotMagic[4] = {'O', 'A', 'G', 'P'};
-constexpr std::uint32_t kVersion = 1;
+/// Version 2 added the grid fingerprint to the journal header; the
+/// snapshot format is unchanged since version 1.
+constexpr std::uint32_t kJournalVersion = 2;
+constexpr std::uint32_t kSnapshotVersion = 1;
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
@@ -197,17 +200,22 @@ namespace {
 
 std::string encode_header(std::uint64_t base_seq, const JournalConfig& config) {
   std::string out(kJournalMagic, sizeof kJournalMagic);
-  put(out, kVersion);
+  put(out, kJournalVersion);
   put(out, base_seq);
   put(out, config.policy);
   put(out, config.heuristic);
   put(out, config.max_active);
+  put(out, config.grid);
   return out;
 }
 
+/// Magic and version, read first: the rest of the header depends on the
+/// version.
+constexpr std::size_t kHeaderPrefixSize =
+    sizeof kJournalMagic + sizeof(std::uint32_t);
 constexpr std::size_t kHeaderSize =
-    sizeof kJournalMagic + sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-    2 * sizeof(std::uint8_t) + sizeof(std::uint32_t);
+    kHeaderPrefixSize + sizeof(std::uint64_t) + 2 * sizeof(std::uint8_t) +
+    sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
 }  // namespace
 
@@ -220,20 +228,25 @@ JournalContents read_journal(const std::string& path) {
   in.seekg(0);
 
   std::string header(kHeaderSize, '\0');
-  in.read(header.data(), static_cast<std::streamsize>(header.size()));
+  in.read(header.data(), static_cast<std::streamsize>(kHeaderPrefixSize));
   if (!in || std::memcmp(header.data(), kJournalMagic, sizeof kJournalMagic) != 0)
     throw std::invalid_argument("oagrid: not a journal file (bad magic): " +
                                 path);
   Cursor cursor(header);
   cursor.get<std::uint32_t>();  // magic (already checked byte-wise)
   const auto version = cursor.get<std::uint32_t>();
-  if (version != kVersion)
+  if (version != kJournalVersion)
     throw std::invalid_argument("oagrid: unsupported journal version " +
                                 std::to_string(version));
+  in.read(header.data() + kHeaderPrefixSize,
+          static_cast<std::streamsize>(kHeaderSize - kHeaderPrefixSize));
+  if (!in)
+    throw std::invalid_argument("oagrid: truncated journal header: " + path);
   contents.base_seq = cursor.get<std::uint64_t>();
   contents.config.policy = cursor.get<std::uint8_t>();
   contents.config.heuristic = cursor.get<std::uint8_t>();
   contents.config.max_active = cursor.get<std::uint32_t>();
+  contents.config.grid = cursor.get<std::uint64_t>();
 
   std::string payload;
   for (;;) {
@@ -344,7 +357,7 @@ void write_snapshot(const std::string& path, std::uint64_t seq,
     if (!out)
       throw std::invalid_argument("oagrid: cannot create snapshot " + tmp);
     std::string header(kSnapshotMagic, sizeof kSnapshotMagic);
-    put(header, kVersion);
+    put(header, kSnapshotVersion);
     put(header, seq);
     out.write(header.data(), static_cast<std::streamsize>(header.size()));
     append_framed(out, payload);
@@ -371,7 +384,7 @@ SnapshotContents read_snapshot(const std::string& path) {
     return contents;  // corrupt: recovery falls back to full replay
   Cursor cursor(header);
   cursor.get<std::uint32_t>();  // magic
-  if (cursor.get<std::uint32_t>() != kVersion) return contents;
+  if (cursor.get<std::uint32_t>() != kSnapshotVersion) return contents;
   const auto seq = cursor.get<std::uint64_t>();
   try {
     std::string payload;

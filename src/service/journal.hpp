@@ -17,8 +17,8 @@
 /// not an interchange format — documented in docs/service.md):
 ///
 ///   journal  := header record*
-///   header   := "OAGJ" u32 version=1 u64 base_seq u8 policy u8 heuristic
-///               u32 max_active
+///   header   := "OAGJ" u32 version=2 u64 base_seq u8 policy u8 heuristic
+///               u32 max_active u64 grid
 ///   record   := u32 payload_len  u32 crc32(payload)  payload
 ///   payload  := u8 event_type  fields...        (see EventType)
 ///
@@ -89,11 +89,14 @@ struct Event {
 [[nodiscard]] Event decode_event(const std::string& payload);
 
 /// Configuration fingerprint stored in the journal header: replay is only
-/// deterministic under the same scheduling configuration.
+/// deterministic under the same scheduling configuration, on the same grid.
 struct JournalConfig {
   std::uint8_t policy = 0;
   std::uint8_t heuristic = 0;
   std::uint32_t max_active = 0;
+  /// FNV-1a over each cluster's R, minimum group, T[G] table and TP, in
+  /// grid order: the service's plans hold for this grid only.
+  std::uint64_t grid = 0;
 
   [[nodiscard]] bool operator==(const JournalConfig&) const = default;
 };

@@ -69,11 +69,31 @@ std::uint64_t CampaignService::state_signature() const {
   return fnv1a(encode_state(), kFnv1aShortBasis);
 }
 
+namespace {
+
+/// FNV-1a over what the service's plans depend on in each cluster: R, the
+/// minimum group, the T[G] table and TP, in grid order. Names do not count.
+std::uint64_t grid_fingerprint(const platform::Grid& grid) {
+  Fnv1a h;
+  h.u64(static_cast<std::uint64_t>(grid.cluster_count()));
+  for (const platform::Cluster& cluster : grid.clusters()) {
+    h.i64(cluster.resources());
+    h.i64(cluster.min_group());
+    h.u64(cluster.main_times().size());
+    for (const Seconds t : cluster.main_times()) h.f64(t);
+    h.f64(cluster.post_time());
+  }
+  return h.state;
+}
+
+}  // namespace
+
 JournalConfig CampaignService::journal_config() const {
   JournalConfig config;
   config.policy = static_cast<std::uint8_t>(options_.policy);
   config.heuristic = static_cast<std::uint8_t>(options_.heuristic);
   config.max_active = static_cast<std::uint32_t>(options_.max_active);
+  config.grid = grid_fingerprint(grid_);
   return config;
 }
 
@@ -885,7 +905,10 @@ RecoveryReport CampaignService::recover() {
 
   JournalContents contents = read_journal(journal_path(options_.journal_dir));
   if (!contents.exists) return report;  // fresh start
-  if (!(contents.config == journal_config()))
+  const JournalConfig config = journal_config();
+  if (contents.config.policy != config.policy ||
+      contents.config.heuristic != config.heuristic ||
+      contents.config.max_active != config.max_active)
     throw std::invalid_argument(
         "oagrid: journal was written under a different service configuration "
         "(policy/heuristic/max_active must match)");
@@ -935,6 +958,13 @@ RecoveryReport CampaignService::recover() {
     }
     replay_expected_ = contents.events;
   }
+  // A snapshot naming clusters this grid lacks was refused above. Nothing
+  // has replayed yet: refuse a grid whose clusters differ in size too.
+  if (contents.config.grid != config.grid)
+    throw std::invalid_argument(
+        "oagrid: journal was written under a different service configuration "
+        "(the grid must match: each cluster's R, minimum group, T[G] table and "
+        "TP)");
   replay_contents_ = std::move(contents);
   replaying_ = true;
   replay_pos_ = 0;

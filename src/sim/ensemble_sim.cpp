@@ -26,6 +26,7 @@ struct Group {
   Seconds current_end = 0.0;
   ScenarioId current_scenario = 0;
   MonthIndex current_month = 0;
+  bool current_fails = false;  ///< the in-flight main's output will be lost
   // Failure-injection state; untouched (and behavior-neutral) without an
   // active FaultOptions.
   bool down = false;              ///< node set currently unavailable
@@ -46,18 +47,19 @@ struct Scenario {
 /// failing / coming back. Posts never feed back into main dispatch, so they
 /// are resolved off the calendar (sim/post_pool.hpp). Plain struct —
 /// scheduling one is a push into the calendar's flat heap, not a
-/// std::function allocation.
+/// std::function allocation. A completion names only its group: the
+/// group's in-flight state says which month it was and whether it failed.
 struct SimEvent {
   enum class Kind : std::uint8_t { kMainDone, kNodeDown, kNodeUp };
   Kind kind = Kind::kMainDone;
-  bool failed = false;
   int unit = 0;  ///< group index
-  ScenarioId scenario = 0;
-  MonthIndex month = 0;
   /// Group epoch at schedule time; a kMainDone whose epoch no longer matches
   /// was killed by an outage (the calendar has no removal — §fault docs).
   std::uint32_t epoch = 0;
 };
+
+/// No scenario offered: see EnsembleSimulation::dispatch_mains.
+constexpr std::uint64_t kNoOffer = ~std::uint64_t{0};
 
 class EnsembleSimulation {
  public:
@@ -68,6 +70,7 @@ class EnsembleSimulation {
       : cluster_(cluster),
         schedule_(schedule),
         months_(static_cast<MonthIndex>(ensemble.months)),
+        total_months_(ensemble.scenarios * ensemble.months),
         options_(options),
         rng_(options.perturbation.seed),
         post_rng_(Rng(options.perturbation.seed).split()),
@@ -75,6 +78,15 @@ class EnsembleSimulation {
     ensemble.validate();
     OAGRID_REQUIRE(options.restart_handoff >= 0.0,
                    "restart hand-off must be >= 0");
+    // Jitter scales durations by exp(N(0, jitter)); a main that fails with
+    // probability 1 re-runs forever.
+    const PerturbationModel& perturbation = options.perturbation;
+    OAGRID_REQUIRE(std::isfinite(perturbation.duration_jitter) &&
+                       perturbation.duration_jitter >= 0.0,
+                   "duration jitter must be finite and >= 0");
+    OAGRID_REQUIRE(perturbation.failure_probability >= 0.0 &&
+                       perturbation.failure_probability < 1.0,
+                   "task failure probability must be in [0, 1)");
     if (fault_active_) {
       OAGRID_REQUIRE(options.fault.checkpoint_months >= 1,
                      "checkpoint cadence must be >= 1 month");
@@ -125,36 +137,14 @@ class EnsembleSimulation {
       // a t=0 outage beats a t=0 dispatch.
       outage_streams_.reserve(groups_.size());
       done_costs_.resize(static_cast<std::size_t>(scenario_count()));
-      if (options_.capture_trace)
-        done_entries_.resize(static_cast<std::size_t>(scenario_count()));
+      done_entries_.resize(static_cast<std::size_t>(scenario_count()));
       for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
         outage_streams_.emplace_back(*options_.fault.model,
                                      options_.fault.cluster, g);
         schedule_next_outage(g, 0.0);
       }
     }
-    dispatch_mains();
-    std::size_t executed = 0;
-    while (!calendar_.empty()) {
-      const SimEvent event = calendar_.pop();
-      ++executed;
-      switch (event.kind) {
-        case SimEvent::Kind::kMainDone:
-          finish_main(event.unit, event.scenario, event.month, event.failed,
-                      event.epoch);
-          break;
-        case SimEvent::Kind::kNodeDown:
-          handle_node_down(event.unit);
-          break;
-        case SimEvent::Kind::kNodeUp:
-          handle_node_up(event.unit);
-          break;
-      }
-      settle_posts(calendar_.now());
-    }
-    // The last calendar event has passed, so no worker joins any more.
-    settle_posts(kInfiniteTime);
-    result_.events = executed;
+    result_.events = drain();
     result_.makespan = std::max(result_.main_phase_end, last_post_end_);
     // Every node set died for good with months still pending: the campaign
     // cannot finish on this cluster. Surface the large-but-finite sentinel
@@ -227,9 +217,36 @@ class EnsembleSimulation {
   }
 
  private:
-  Count total_months() const {
-    return static_cast<Count>(scenario_count()) * months_;
+  /// Runs the calendar dry; returns the number of events executed. Every
+  /// pass dispatches onto what the last event freed, then settles the posts
+  /// that start by now. Once the calendar has drained no worker joins any
+  /// more, so the last pass settles every post.
+  std::size_t drain() {
+    std::size_t executed = 0;
+    std::uint64_t offered = kNoOffer;
+    for (;;) {
+      dispatch_mains(offered);
+      const bool drained = calendar_.empty();
+      settle_posts(drained ? kInfiniteTime : calendar_.now());
+      if (drained) return executed;
+      const SimEvent event = calendar_.pop();
+      ++executed;
+      offered = kNoOffer;
+      switch (event.kind) {
+        case SimEvent::Kind::kMainDone:
+          offered = finish_main(event.unit, event.epoch);
+          break;
+        case SimEvent::Kind::kNodeDown:
+          handle_node_down(event.unit);
+          break;
+        case SimEvent::Kind::kNodeUp:
+          handle_node_up(event.unit);
+          break;
+      }
+    }
   }
+
+  Count total_months() const { return total_months_; }
 
   ScenarioId scenario_count() const {
     return static_cast<ScenarioId>(scenarios_.size());
@@ -242,25 +259,51 @@ class EnsembleSimulation {
     return !sc.running && sc.pinned_group < 0 && sc.months_dispatched < months_;
   }
 
-  /// Offers scenario s to the least-advanced heap if it can take a month
-  /// now. The heap holds each available scenario exactly once, keyed
-  /// (months_done, id): a scenario's months_done only changes while it
+  /// Scenario s's key in the least-advanced heap, (months_done, id), or
+  /// kNoOffer when it cannot take a month now. The heap holds each available
+  /// scenario exactly once: a scenario's months_done only changes while it
   /// runs, so a key never goes stale.
-  void offer(ScenarioId s) {
-    if (!scenario_available(s)) return;
+  std::uint64_t ready_key(ScenarioId s) const {
+    if (!scenario_available(s)) return kNoOffer;
     const auto done = static_cast<std::uint64_t>(
         scenarios_[static_cast<std::size_t>(s)].months_done);
-    ready_.push_back(done << 32 | static_cast<std::uint32_t>(s));
+    return done << 32 | static_cast<std::uint32_t>(s);
+  }
+
+  void push_ready(std::uint64_t key) {
+    ready_.push_back(key);
     std::push_heap(ready_.begin(), ready_.end(), std::greater<>{});
   }
 
+  /// Offers scenario s to the least-advanced heap if it can take a month.
+  void offer(ScenarioId s) {
+    if (const std::uint64_t key = ready_key(s); key != kNoOffer)
+      push_ready(key);
+  }
+
   /// Removes and returns the least-advanced available scenario (fewest
-  /// completed months, then lowest id; paper §4.3). Precondition: one is.
-  ScenarioId take_least_advanced() {
-    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
-    const auto s = static_cast<ScenarioId>(ready_.back() & 0xFFFFFFFFu);
-    ready_.pop_back();
-    return s;
+  /// completed months, then lowest id; paper §4.3), counting `offered` as
+  /// if it had been pushed first. Precondition: one is.
+  ScenarioId take_least_advanced(std::uint64_t offered) {
+    std::uint64_t taken = offered;
+    if (offered == kNoOffer) {
+      std::pop_heap(ready_.begin(), ready_.end(), std::greater<>{});
+      taken = ready_.back();
+      ready_.pop_back();
+    } else if (!ready_.empty() && ready_.front() < offered) {
+      // The offered key replaces the top and sinks to its place.
+      taken = ready_.front();
+      const std::size_t n = ready_.size();
+      std::size_t i = 0;
+      for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && ready_[c + 1] < ready_[c]) ++c;
+        if (!(ready_[c] < offered)) break;
+        ready_[i] = ready_[c];
+        i = c;
+      }
+      ready_[i] = offered;
+    }
+    return static_cast<ScenarioId>(taken & 0xFFFFFFFFu);
   }
 
   /// Re-derives group g's bit in the idle set (idle = not busy, retired or
@@ -311,20 +354,26 @@ class EnsembleSimulation {
     return started;
   }
 
-  /// Pairs available scenarios with idle groups until neither remains.
-  void dispatch_mains() {
+  /// Pairs available scenarios with idle groups until neither remains,
+  /// then retires the idle groups once every month is dispatched.
+  /// `offered` is the ready key of the scenario the last completion freed
+  /// (kNoOffer for none): it counts as in the heap, and the first pick
+  /// takes it or swaps it for the top instead of a push and a pop.
+  void dispatch_mains(std::uint64_t offered) {
     // Pinned scenarios (wait-for-repair, so only under fault injection)
     // resume on their own group before the shared pool is served; keep
     // alternating until a full round makes no progress.
     for (bool progress = true; progress;) {
       progress = pinned_ > 0 && resume_pinned();
+      if (offered == kNoOffer && ready_.empty()) continue;
       const int g = first_idle_group();
-      if (g >= 0 && !ready_.empty()) {
-        start_main(g, take_least_advanced());
-        progress = true;
-      }
+      if (g < 0) continue;
+      start_main(g, take_least_advanced(offered));
+      offered = kNoOffer;
+      progress = true;
     }
-    maybe_retire_idle_groups();
+    if (offered != kNoOffer) push_ready(offered);
+    if (months_dispatched_total_ == total_months()) retire_idle_groups();
   }
 
   /// Applies the multiplicative duration jitter (1.0 when inactive),
@@ -354,7 +403,7 @@ class EnsembleSimulation {
       duration += options_.fault.migrate_staging;
       scenario.needs_staging = false;
     }
-    const bool fails =
+    group.current_fails =
         options_.perturbation.failure_probability > 0.0 &&
         rng_.uniform() < options_.perturbation.failure_probability;
     group.busy_seconds += duration;
@@ -365,18 +414,21 @@ class EnsembleSimulation {
     group.current_scenario = s;
     group.current_month = month;
     calendar_.schedule(group.current_end,
-                       SimEvent{SimEvent::Kind::kMainDone, fails, g, s, month,
-                                group.epoch});
+                       SimEvent{SimEvent::Kind::kMainDone, g, group.epoch});
   }
 
-  void finish_main(int g, ScenarioId s, MonthIndex month, bool failed,
-                   std::uint32_t epoch) {
+  /// Ends group g's in-flight main; returns the ready key of its scenario
+  /// (kNoOffer when it cannot take a month now) for dispatch_mains.
+  std::uint64_t finish_main(int g, std::uint32_t epoch) {
     Group& group = groups_[static_cast<std::size_t>(g)];
-    Scenario& scenario = scenarios_[static_cast<std::size_t>(s)];
     // Stale completion: the month was killed by an outage after this event
     // was scheduled (the calendar has no removal; the epoch bump at kill
     // time invalidates it).
-    if (fault_active_ && epoch != group.epoch) return;
+    if (fault_active_ && epoch != group.epoch) return kNoOffer;
+    const ScenarioId s = group.current_scenario;
+    const MonthIndex month = group.current_month;
+    const bool failed = group.current_fails;
+    Scenario& scenario = scenarios_[static_cast<std::size_t>(s)];
     group.busy = false;
     refresh_idle(g);
     scenario.running = false;
@@ -399,16 +451,24 @@ class EnsembleSimulation {
       result_.main_phase_end =
           std::max(result_.main_phase_end, calendar_.now());
       if (fault_active_) {
-        // Remember what the month cost, and where it was recorded, so a
-        // later rewind can account the thrown-away work exactly.
-        done_costs_[static_cast<std::size_t>(s)].push_back(
-            calendar_.now() - group.current_start);
-        if (options_.capture_trace)
-          done_entries_[static_cast<std::size_t>(s)].push_back(entry);
+        // Remember what each month since the last checkpoint cost, and
+        // where it was recorded, so a rewind can account the thrown-away
+        // work exactly. A rewind never goes below the last multiple of the
+        // cadence, so a month that reaches one drops the list: it holds
+        // months_done % cadence months, and this one makes that 0.
+        auto& costs = done_costs_[static_cast<std::size_t>(s)];
+        auto& entries = done_entries_[static_cast<std::size_t>(s)];
+        if (static_cast<MonthIndex>(costs.size()) + 1 ==
+            options_.fault.checkpoint_months) {
+          costs.clear();
+          entries.clear();
+        } else {
+          costs.push_back(calendar_.now() - group.current_start);
+          if (options_.capture_trace) entries.push_back(entry);
+        }
       }
       posts_.arrive(s, month, calendar_.now());
     }
-    offer(s);
 
     if (months_done_total_ == total_months() &&
         schedule_.post_policy == sched::PostPolicy::kAllAtEnd) {
@@ -417,11 +477,10 @@ class EnsembleSimulation {
       // at the end").
       posts_.join(calendar_.now(), cluster_.resources());
     }
-    dispatch_mains();
+    return ready_key(s);
   }
 
-  void maybe_retire_idle_groups() {
-    if (months_dispatched_total_ < total_months()) return;
+  void retire_idle_groups() {
     for (int g = 0; g < static_cast<int>(groups_.size()); ++g) {
       Group& group = groups_[static_cast<std::size_t>(g)];
       // A down group cannot retire: its processors are unavailable, not
@@ -458,7 +517,7 @@ class EnsembleSimulation {
     if (!window.has_value()) return;
     groups_[static_cast<std::size_t>(g)].pending_repair = window->duration;
     calendar_.schedule(window->start,
-                       SimEvent{SimEvent::Kind::kNodeDown, false, g, 0, 0, 0});
+                       SimEvent{SimEvent::Kind::kNodeDown, g, 0});
   }
 
   void handle_node_down(int g) {
@@ -488,10 +547,8 @@ class EnsembleSimulation {
     } else {
       calendar_.schedule(
           calendar_.now() + repair,
-          SimEvent{SimEvent::Kind::kNodeUp, false, g, 0, 0, group.epoch});
+          SimEvent{SimEvent::Kind::kNodeUp, g, group.epoch});
     }
-    // The killed scenario may reschedule onto another idle group right now.
-    dispatch_mains();
   }
 
   void handle_node_up(int g) {
@@ -500,7 +557,6 @@ class EnsembleSimulation {
     refresh_idle(g);
     if (!group.retired && months_done_total_ < total_months())
       schedule_next_outage(g, calendar_.now());
-    dispatch_mains();
   }
 
   /// An outage caught group g mid-month: the month's work is lost and the
@@ -569,6 +625,7 @@ class EnsembleSimulation {
   const platform::Cluster& cluster_;
   const sched::GroupSchedule& schedule_;
   const MonthIndex months_;  ///< NM: every scenario runs this many months
+  const Count total_months_;  ///< NS * NM, read after every event
   SimOptions options_;
   Rng rng_;       ///< main jitter and task failures, in dispatch order
   Rng post_rng_;  ///< post jitter, in post arrival order
@@ -586,12 +643,13 @@ class EnsembleSimulation {
 
   const bool fault_active_ = false;
   std::vector<fault::OutageStream> outage_streams_;  ///< one per group
-  /// Per-scenario cost of each completed month, in completion order; popped
-  /// on rewind for exact lost-work accounting. Maintained only under fault
-  /// injection.
+  /// Per-scenario cost of each month completed since the scenario's last
+  /// checkpoint (months_done % checkpoint_months of them), in completion
+  /// order; popped on rewind for exact lost-work accounting. Maintained only
+  /// under fault injection.
   std::vector<std::vector<Seconds>> done_costs_;
   /// The trace entries of those months, popped alongside to re-mark them
-  /// rewound. Maintained only under fault injection with capture_trace.
+  /// rewound. Filled only under fault injection with capture_trace.
   std::vector<std::vector<std::size_t>> done_entries_;
 
   PostPool posts_;

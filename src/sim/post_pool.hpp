@@ -10,8 +10,16 @@
 /// free worker) and ends at start + duration. Workers join at times the
 /// simulator reaches in order: the dedicated pool at 0, a retired group's
 /// processors at its retirement, the whole cluster at the end of the main
-/// phase. A min-heap of (free time, worker id) hands out the earliest free
-/// worker, the lowest id on ties; ids follow join order.
+/// phase. The earliest free worker, the lowest id on ties, takes the next
+/// post; ids follow join order.
+///
+/// Every worker that joined is kept by (free time, id) in two parts: a
+/// sorted run that takes a key at its back when no key there is later, and
+/// a min-heap for the keys that come out of order. Posts are served in arrival order,
+/// so a worker's next free time is usually the latest: with equal post
+/// durations every key goes to the run, and taking and refiling a worker
+/// costs O(1). Jittered durations or a join behind busy workers send keys
+/// to the heap, which bounds every step by O(log workers).
 ///
 /// Finality: resolve(now) settles, in arrival order, the pending posts that
 /// start at or before `now`, and stops at the first one that does not. A
@@ -51,15 +59,15 @@ class PostPool {
     Seconds end = 0.0;
   };
 
-  /// Preallocates the heap for the most workers that will ever join.
-  void reserve(std::size_t workers) { free_.reserve(workers); }
+  /// Preallocates for the most workers that will ever join.
+  void reserve(std::size_t workers) {
+    run_.reserve(2 * workers);
+    heap_.reserve(workers);
+  }
 
   /// `count` workers join the pool, free from `t` (>= 0, non-decreasing).
   void join(Seconds t, ProcCount count) {
-    for (ProcCount w = 0; w < count; ++w) {
-      free_.push_back(key(t, next_id_++));
-      std::push_heap(free_.begin(), free_.end(), std::greater<>{});
-    }
+    for (ProcCount w = 0; w < count; ++w) file(key(t, next_id_++));
   }
 
   /// The post of (scenario, month) arrives at `t` (non-decreasing).
@@ -77,15 +85,16 @@ class PostPool {
   /// `on_resolved(const Resolved&)`.
   template <typename Duration, typename OnResolved>
   void resolve(Seconds now, Duration&& duration, OnResolved&& on_resolved) {
-    while (head_ < queue_.size() && !free_.empty()) {
-      const Key top = free_.front();
+    while (head_ < queue_.size() && (run_head_ < run_.size() || !heap_.empty())) {
+      const bool in_run = first_in_run();
+      const Key top = in_run ? run_[run_head_] : heap_.front();
       const auto free = std::bit_cast<Seconds>(static_cast<std::uint64_t>(top >> 64));
       const Seconds start =
           head_ + 1 == queue_.size() ? std::max(newest_arrival_, free) : free;
       if (start > now) break;
       const Seconds end = start + duration();
       const auto worker = static_cast<int>(static_cast<std::uint32_t>(top));
-      replace_top(key(end, worker));
+      refile_first(in_run, key(end, worker));
       const Tag tag = queue_[head_++];
       on_resolved(Resolved{tag.scenario, tag.month, worker, start, end});
     }
@@ -120,28 +129,69 @@ class PostPool {
            static_cast<std::uint32_t>(id);
   }
 
-  /// Replaces the root with `k`: the hole walks down the smaller children to
-  /// a leaf, then `k` rises from there. A new free time is usually the
-  /// latest one, so it barely rises, and the walk costs one comparison a
-  /// level.
+  /// True when the earliest free worker heads the run, not the heap.
+  /// Precondition: a worker has joined.
+  [[nodiscard]] bool first_in_run() const noexcept {
+    return heap_.empty() ||
+           (run_head_ < run_.size() && run_[run_head_] < heap_.front());
+  }
+
+  /// Takes the earliest free worker, which first_in_run() located, and
+  /// files `k`, its next free time, in its place.
+  void refile_first(bool in_run, Key k) {
+    if (in_run) {
+      ++run_head_;
+      file(k);
+    } else if (run_head_ < run_.size() && k < run_.back()) {
+      replace_top(k);  // out of order again: one walk of the heap
+    } else {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      heap_.pop_back();
+      file(k);
+    }
+  }
+
+  /// Replaces the heap's root with `k`: the hole walks down the smaller
+  /// children to a leaf, then `k` rises from there.
   void replace_top(Key k) noexcept {
-    const std::size_t n = free_.size();
+    const std::size_t n = heap_.size();
     std::size_t i = 0;
     for (std::size_t c = 1; c < n; c = 2 * i + 1) {
-      if (c + 1 < n && free_[c + 1] < free_[c]) ++c;
-      free_[i] = free_[c];
+      if (c + 1 < n && heap_[c + 1] < heap_[c]) ++c;
+      heap_[i] = heap_[c];
       i = c;
     }
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!(k < free_[parent])) break;
-      free_[i] = free_[parent];
+      if (!(k < heap_[parent])) break;
+      heap_[i] = heap_[parent];
       i = parent;
     }
-    free_[i] = k;
+    heap_[i] = k;
   }
 
-  std::vector<Key> free_;  ///< min-heap of every worker that joined
+  /// Files a worker's free-time key: at the back of the run when no key
+  /// there is later, else into the heap.
+  void file(Key k) {
+    if (run_head_ == run_.size()) {
+      run_.clear();
+      run_head_ = 0;
+    } else if (k < run_.back()) {
+      heap_.push_back(k);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      return;
+    } else if (2 * run_head_ >= run_.size()) {
+      // Drop the taken prefix once it is half the buffer: O(1) amortized.
+      run_.erase(run_.begin(),
+                 run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+      run_head_ = 0;
+    }
+    run_.push_back(k);
+  }
+
+  std::vector<Key> run_;  ///< sorted; [run_head_, size) hold workers
+  std::size_t run_head_ = 0;
+  std::vector<Key> heap_;  ///< min-heap of the keys that came out of order
   std::vector<Tag> queue_;  ///< arrivals; [head_, size) are pending
   std::size_t head_ = 0;
   Seconds newest_arrival_ = 0.0;

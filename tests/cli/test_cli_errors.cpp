@@ -214,6 +214,46 @@ TEST(CliErrors, DynamicWithoutSeedsIsRejected) {
   expect_rejected("dynamic --seeds 0", "--seeds");
 }
 
+// Every main failing means every month re-runs forever: a bound must fail
+// the test, not hang it (expect_rejected runs under a timeout).
+TEST(CliErrors, TaskFailureProbabilityOfOneIsRejected) {
+  expect_rejected("simulate --months 12 --task-failures 1", "--task-failures");
+}
+
+TEST(CliErrors, TaskFailureProbabilityAboveOneIsRejected) {
+  expect_rejected("simulate --months 12 --task-failures 1.5",
+                  "--task-failures");
+}
+
+TEST(CliErrors, NegativeTaskFailureProbabilityIsRejected) {
+  expect_rejected("simulate --months 12 --task-failures -0.5",
+                  "--task-failures");
+}
+
+TEST(CliErrors, NegativeJitterIsRejected) {
+  expect_rejected("simulate --months 12 --jitter -1", "--jitter");
+}
+
+TEST(CliErrors, NanJitterIsRejected) {
+  expect_rejected("simulate --months 12 --jitter nan", "--jitter");
+}
+
+TEST(CliErrors, SimulateNegativeCheckpointCadenceIsRejected) {
+  expect_rejected("simulate --months 12 --failures --checkpoint-months -1",
+                  "--checkpoint-months");
+}
+
+TEST(CliErrors, GridNegativeCheckpointCadenceIsRejected) {
+  expect_rejected("grid --months 12 --failures --checkpoint-months -3",
+                  "--checkpoint-months");
+}
+
+TEST(CliErrors, ServeNegativeCheckpointCadenceIsRejected) {
+  expect_rejected(
+      "serve --campaigns alice:3x12 --failures --checkpoint-months -2",
+      "--checkpoint-months");
+}
+
 TEST(CliErrors, CampaignCountsWithTrailingJunkAreRejected) {
   expect_rejected("serve --campaigns alice:3x12abc",
                   "bad campaign 'alice:3x12abc'");

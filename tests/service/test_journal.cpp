@@ -255,9 +255,12 @@ TEST(Journal, EveryTruncationPointYieldsAValidPrefix) {
   }
   const std::string full = read_file(path);
   const std::string cut_path = temp_dir("journal-torn-cut") + "/journal.bin";
+  { JournalWriter header_only(cut_path, 0, test_config()); }
+  const std::size_t header_size = read_file(cut_path).size();
 
+  // Cuts start 8 bytes into the first record's frame, past the header.
   std::size_t clean_cuts = 0;
-  for (std::size_t cut = 30; cut < full.size(); ++cut) {
+  for (std::size_t cut = header_size + 8; cut < full.size(); ++cut) {
     write_file(cut_path, full.substr(0, cut));
     const JournalContents contents = read_journal(cut_path);
     ASSERT_TRUE(contents.exists);

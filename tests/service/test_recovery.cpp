@@ -366,6 +366,53 @@ TEST(Recovery, SnapshotFromAnotherGridIsRefused) {
   }
 }
 
+TEST(Recovery, JournalFromAnotherSizedGridIsRefused) {
+  // Five clusters of 20 processors, killed mid-run, then resumed on five
+  // clusters of 30: every id fits, but every plan was made for the other
+  // sizes. With or without a snapshot, the resume must be refused before
+  // anything replays.
+  const auto spec = [](const std::string& owner, double weight, Count ns,
+                       Count nm) {
+    CampaignSpec s;
+    s.owner = owner;
+    s.weight = weight;
+    s.scenarios = ns;
+    s.months = nm;
+    return s;
+  };
+  for (const Count snapshot_every : {Count{8}, Count{0}}) {
+    const std::string dir =
+        temp_dir("recovery-sized-grid-" + std::to_string(snapshot_every));
+    ServiceOptions options;
+    options.journal_dir = dir;
+    options.snapshot_every = snapshot_every;
+    options.kill_after_records = 30;
+    options.group_commit = true;
+    {
+      CampaignService victim(platform::make_builtin_grid(20), options);
+      (void)victim.submit(spec("alice", 1.0, 3, 12), 0.0);
+      (void)victim.submit(spec("bob", 2.0, 4, 12), 0.0);
+      (void)victim.submit(spec("carol", 1.0, 5, 10), 0.0);
+      (void)victim.submit(spec("dave", 1.0, 3, 12), 3000.0);
+      ASSERT_FALSE(victim.run());
+      ASSERT_TRUE(victim.killed());
+    }
+    options.kill_after_records = -1;
+    CampaignService resumed(platform::make_builtin_grid(30), options);
+    try {
+      (void)resumed.recover();
+      FAIL() << "a journal of 20-processor clusters was resumed on 30 "
+                "(snapshot_every " << snapshot_every << ")";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("different service configuration"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("grid"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Recovery, RecoverNeedsAJournalDirectory) {
   auto service = make_service(ServiceOptions{});  // in-memory only
   EXPECT_THROW((void)service->recover(), std::invalid_argument);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "platform/profiles.hpp"
 #include "sim/ensemble_sim.hpp"
 
@@ -96,6 +99,26 @@ TEST(Perturbation, HighFailureRateStressTest) {
   const SimResult r = simulate_ensemble(c, schedule, e, perturbed(0.1, 0.6, 9));
   EXPECT_EQ(r.mains_executed, 10);
   EXPECT_GT(r.retries, 5);
+}
+
+TEST(Perturbation, OutOfRangeModelsAreRejected) {
+  const auto c = platform::make_builtin_cluster(1, 30);
+  const Ensemble e{2, 4};
+  const auto schedule = sched::knapsack_grouping(c, e);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A main that always fails re-runs forever; the check must throw first.
+  for (const double failure : {1.0, 1.5, -0.5, nan, inf})
+    EXPECT_THROW((void)simulate_ensemble(c, schedule, e, perturbed(0, failure, 1)),
+                 std::invalid_argument)
+        << "failure probability " << failure;
+  for (const double jitter : {-1.0, nan, inf})
+    EXPECT_THROW((void)simulate_ensemble(c, schedule, e, perturbed(jitter, 0, 1)),
+                 std::invalid_argument)
+        << "jitter " << jitter;
+  // The edges of the valid ranges still run.
+  EXPECT_EQ(simulate_ensemble(c, schedule, e, perturbed(0, 0.99, 1)).mains_executed, 8);
+  EXPECT_EQ(simulate_ensemble(c, schedule, e, perturbed(0, 0, 1)).retries, 0);
 }
 
 TEST(Perturbation, KnapsackAdvantageSurvivesNoise) {

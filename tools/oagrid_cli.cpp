@@ -21,6 +21,7 @@
 /// model; the recovery policy).
 
 #include <array>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -172,6 +173,16 @@ void add_recovery_options(ArgParser& args) {
                   "1");
 }
 
+/// --checkpoint-months, rejected when negative (0 asks for the subcommand's
+/// automatic cadence).
+MonthIndex checkpoint_months_from(const ArgParser& args) {
+  const long long months = args.get_int("checkpoint-months");
+  if (months < 0)
+    throw std::invalid_argument("--checkpoint-months must be >= 0, got " +
+                                std::to_string(months));
+  return static_cast<MonthIndex>(months);
+}
+
 /// The failure model selected by --failures, sized to `clusters`, or nullopt
 /// when the flag is absent.
 std::optional<fault::FailureModel> fault_model_from(const ArgParser& args,
@@ -205,12 +216,13 @@ sim::GridFaultOptions fault_options_from(const ArgParser& args, int clusters,
                                          const appmodel::Ensemble& ensemble,
                                          Seconds checkpoint_cost) {
   sim::GridFaultOptions faults;
+  const MonthIndex cadence = checkpoint_months_from(args);
   auto model = fault_model_from(args, clusters);
   if (!model) return faults;
   faults.model = std::move(*model);
   faults.recovery = fault::recovery_policy_from(args.get("recovery"));
-  if (const long long k = args.get_int("checkpoint-months"); k > 0) {
-    faults.checkpoint_months = static_cast<MonthIndex>(k);
+  if (cadence > 0) {
+    faults.checkpoint_months = cadence;
     return faults;
   }
   Seconds mtbf = 0.0;
@@ -441,6 +453,15 @@ int cmd_simulate(const std::vector<std::string>& argv) {
   options.capture_trace = trace_views || obs::enabled();
   options.perturbation.duration_jitter = args.get_double("jitter");
   options.perturbation.failure_probability = args.get_double("task-failures");
+  // A main that always fails re-runs forever, so 1 is out of range.
+  if (!(std::isfinite(options.perturbation.duration_jitter) &&
+        options.perturbation.duration_jitter >= 0.0))
+    throw std::invalid_argument("--jitter must be a finite number >= 0, got " +
+                                args.get("jitter"));
+  if (!(options.perturbation.failure_probability >= 0.0 &&
+        options.perturbation.failure_probability < 1.0))
+    throw std::invalid_argument("--task-failures must be in [0, 1), got " +
+                                args.get("task-failures"));
   options.perturbation.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   if (const auto network = network_from(args, 1)) {
     // Single cluster: the network prices the inter-month restart hand-off
@@ -859,16 +880,15 @@ int cmd_serve(const std::vector<std::string>& argv) {
                                 "' (analytic | sim)");
   options.estimator = estimator.get();
 
+  const MonthIndex cadence = checkpoint_months_from(args);
   const auto failure_model = fault_model_from(args, grid.cluster_count());
   std::unique_ptr<service::FailureAwareEstimator> failure_estimator;
   if (failure_model) {
     if (!estimator) estimator = std::make_unique<service::AnalyticEstimator>();
     // The closed-form inflation has no per-checkpoint cost to weigh, so the
     // automatic cadence collapses to the monthly restart.
-    const long long cadence = args.get_int("checkpoint-months");
     failure_estimator = std::make_unique<service::FailureAwareEstimator>(
-        *estimator, grid, *failure_model,
-        cadence > 0 ? static_cast<MonthIndex>(cadence) : 1);
+        *estimator, grid, *failure_model, cadence > 0 ? cadence : 1);
     options.estimator = failure_estimator.get();
   }
 
