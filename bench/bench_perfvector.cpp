@@ -13,7 +13,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <barrier>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "platform/profiles.hpp"
@@ -50,6 +56,51 @@ BENCHMARK(BM_PerfVectorColdCache)
     ->Args({53, 10, 60})
     ->Args({120, 40, 24})
     ->Args({1024, 200, 1})
+    ->Unit(benchmark::kMillisecond);
+
+/// Figure 9's step 3: five callers (the SeDs of a built-in grid, R = arg 0)
+/// each ask for a cold NS = 10 vector of their own cluster at once, over
+/// `months` = arg 1. Their regions share the pool, so this times how well
+/// independent regions overlap. The callers are persistent threads, as the
+/// SeDs are, released together by a barrier; real time is what counts. The
+/// timing thread only waits, so its CPU time (what the baseline gate
+/// compares) says nothing here: these rows stay out of bench/baselines.
+void BM_PerfVectorConcurrentCallers(benchmark::State& state) {
+  const auto grid =
+      platform::make_builtin_grid(static_cast<ProcCount>(state.range(0)));
+  const Count months = state.range(1);
+  const std::span<const platform::Cluster> clusters = grid.clusters();
+  std::barrier start(static_cast<std::ptrdiff_t>(clusters.size()) + 1);
+  std::barrier done(static_cast<std::ptrdiff_t>(clusters.size()) + 1);
+  bool stop = false;
+  std::vector<std::thread> callers;
+  for (const platform::Cluster& cluster : clusters)
+    callers.emplace_back([&, months] {
+      for (;;) {
+        start.arrive_and_wait();
+        if (stop) return;
+        benchmark::DoNotOptimize(sim::performance_vector(
+            cluster, 10, months, sched::Heuristic::kKnapsack));
+        done.arrive_and_wait();
+      }
+    });
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::eval_cache().clear();
+    state.ResumeTiming();
+    start.arrive_and_wait();
+    done.arrive_and_wait();
+  }
+  stop = true;
+  start.arrive_and_wait();
+  for (std::thread& caller : callers) caller.join();
+  state.SetItemsProcessed(state.iterations() * 10 *
+                          static_cast<std::int64_t>(clusters.size()));
+}
+BENCHMARK(BM_PerfVectorConcurrentCallers)
+    ->Args({53, 60})
+    ->Args({53, 600})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Warm cache: the DES entries are pure lookups, so this isolates the

@@ -1,12 +1,14 @@
 #pragma once
 /// \file hash.hpp
-/// \brief 64-bit FNV-1a, the content hash of the eval-cache keys and cluster
-/// signatures, the failure-model and service-state signatures, and the
-/// local-search memo.
+/// \brief 64-bit FNV-1a, the content hash of the eval-cache keys, the
+/// cluster signature (platform::Cluster), the failure-model and
+/// service-state signatures, and the local-search memo.
 ///
-/// Values are part of observable behaviour: the eval cache picks shards and
-/// eviction order by them, and signatures are compared across runs, so the
-/// byte order fed in is fixed by each caller and must not change.
+/// Signature values are part of observable behaviour: they are compared
+/// across runs, so the byte order fed in is fixed by each caller and must
+/// not change. The eval-cache key hash (sim::EvalKeyHash) only picks shards
+/// and buckets, and so which entry a full shard evicts; no makespan depends
+/// on its value.
 
 #include <bit>
 #include <cstddef>

@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
+
 namespace oagrid {
 
 std::size_t default_parallelism() noexcept {
@@ -33,82 +35,87 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  std::uint64_t seen = 0;
   std::unique_lock lock(mutex_);
   for (;;) {
-    work_ready_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
+    work_ready_.wait(lock, [&] { return shutdown_ || oldest_ != nullptr; });
     if (shutdown_) return;
-    seen = generation_;
-    ++observed_;
-    // Admission: at most cap_ threads (counting the caller) touch the
-    // cursor; surplus workers only acknowledge the generation so the
-    // caller's completion wait can still close over every worker.
-    if (participants_ + 1 < cap_) {
-      ++participants_;
-      ++active_workers_;
-      lock.unlock();
-      {
-        const detail::RegionMark mark;
-        run_chunks();
-      }
-      lock.lock();
-      --active_workers_;
+    Region& region = *oldest_;
+    if (region.cursor.load(std::memory_order_relaxed) >= region.end) {
+      close(region);  // nothing left to claim
+      continue;
     }
-    work_done_.notify_all();
+    ++region.active_workers;
+    if (++region.participants == region.cap) close(region);
+    lock.unlock();
+    {
+      const detail::RegionMark mark;
+      run_chunks(region);
+    }
+    lock.lock();
+    // Notified under the lock: the caller cannot see the count reach 0, and
+    // destroy the region, before this worker is done touching it.
+    if (--region.active_workers == 0) region.workers_left.notify_one();
   }
 }
 
-void ThreadPool::run_chunks() {
-  const InvokeFn invoke = invoke_;
-  void* ctx = ctx_;
+void ThreadPool::run_chunks(Region& region) {
   for (;;) {
-    const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= end_) return;
+    const std::size_t i =
+        region.cursor.fetch_add(1, std::memory_order_relaxed);
+    if (i >= region.end) return;
     try {
-      invoke(ctx, i);
+      region.invoke(region.ctx, i);
     } catch (...) {
       const std::scoped_lock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
+      if (!region.first_error) region.first_error = std::current_exception();
     }
   }
+}
+
+void ThreadPool::close(Region& region) noexcept {
+  if (!region.open) return;
+  region.open = false;
+  Region* before = nullptr;
+  Region** link = &oldest_;
+  while (*link != &region) {
+    before = *link;
+    link = &before->next;
+  }
+  *link = region.next;
+  if (youngest_ == &region) youngest_ = before;
 }
 
 void ThreadPool::run_region(std::size_t begin, std::size_t end,
                             InvokeFn invoke, void* ctx,
                             std::size_t max_threads) {
-  // Whole regions from independent calling threads take turns; a region in
-  // flight blocks the next caller here, never corrupting shared state.
-  const std::scoped_lock region_lock(region_mutex_);
+  Region region{.invoke = invoke,
+                .ctx = ctx,
+                .cursor = begin,
+                .end = end,
+                .cap = max_threads == 0 ? threads_.size() + 1 : max_threads};
   {
     const std::scoped_lock lock(mutex_);
-    invoke_ = invoke;
-    ctx_ = ctx;
-    end_ = end;
-    cursor_.store(begin, std::memory_order_relaxed);
-    observed_ = 0;
-    participants_ = 0;
-    cap_ = max_threads == 0 ? threads_.size() + 1 : max_threads;
-    first_error_ = nullptr;
-    ++generation_;
+    (youngest_ != nullptr ? youngest_->next : oldest_) = &region;
+    youngest_ = &region;
   }
-  work_ready_.notify_all();
+  // Wake no more workers than the region can admit or give work to; busy
+  // workers look at the open list again when they leave their region.
+  const std::size_t helpers =
+      std::min({region.cap - 1, threads_.size(), end - begin - 1});
+  for (std::size_t w = 0; w < helpers; ++w) work_ready_.notify_one();
 
   {
     const detail::RegionMark mark;
-    run_chunks();  // the caller is always a participant
+    run_chunks(region);  // the caller is always a participant
   }
 
   std::unique_lock lock(mutex_);
-  work_done_.wait(lock, [&] {
-    return observed_ == threads_.size() && active_workers_ == 0;
-  });
-  invoke_ = nullptr;
-  ctx_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
+  close(region);
+  region.workers_left.wait(lock,
+                           [&] { return region.active_workers == 0; });
+  if (region.first_error) {
     lock.unlock();
-    std::rethrow_exception(error);
+    std::rethrow_exception(region.first_error);
   }
 }
 

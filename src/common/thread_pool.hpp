@@ -7,9 +7,10 @@
 /// substeps and the evaluation engine's neighborhood batches (tens of
 /// microseconds each — thread creation costs more than the work).
 /// ThreadPool keeps its workers alive between regions: dispatch is one
-/// mutex/condition-variable handshake, and the calling thread participates in
-/// the work, so a pool of W workers yields W+1-way parallelism. Every
-/// parallel loop in the library runs on shared_pool().
+/// mutex/condition-variable handshake with the workers that join, and the
+/// calling thread participates in the work, so a pool of W workers yields
+/// W+1-way parallelism. Every parallel loop in the library runs on
+/// shared_pool().
 ///
 /// Three properties the evaluation engine leans on:
 ///  * No per-call type erasure: parallel_for is a template dispatching the
@@ -19,14 +20,16 @@
 ///    e.g. a simulation running under the service while the service sweeps —
 ///    runs the inner region inline on the calling thread instead of
 ///    oversubscribing or deadlocking on the non-reentrant pool.
-///  * Cross-caller serialization: independent threads may call parallel_for
-///    on the same pool concurrently; whole regions are serialized through an
-///    internal mutex, so each caller gets the full pool in turn.
+///  * Shared workers across callers: independent threads may call
+///    parallel_for on the same pool concurrently. Each region lives on its
+///    caller's stack and joins a FIFO of open regions; an idle worker joins
+///    the oldest open region, up to that region's cap. Regions overlap
+///    instead of taking turns: every caller works on its own region from the
+///    start and waits only for the workers inside it.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -73,8 +76,10 @@ class ThreadPool {
 
   /// Runs body(i) for every i in [begin, end) across the workers plus the
   /// calling thread; returns when all iterations finished. Iterations are
-  /// claimed through a shared cursor (dynamic schedule). Exceptions from the
-  /// body are captured and the first one rethrown here.
+  /// claimed in index order through a shared cursor (dynamic schedule), so a
+  /// caller that knows its costs puts the costliest first. Exceptions from
+  /// the body are captured and the first one rethrown here, to this caller
+  /// only.
   ///
   /// `max_threads` caps the number of participating threads (including the
   /// caller); 0 means workers + 1. A cap of 1, a nested call from inside any
@@ -105,43 +110,44 @@ class ThreadPool {
     (*static_cast<Fn*>(ctx))(i);
   }
 
+  /// One parallel_for call in flight, on its caller's stack. Fields other
+  /// than the cursor are guarded by mutex_. The caller returns only once no
+  /// worker is inside, so the region (and the body) never dangles.
+  struct Region {
+    InvokeFn invoke;
+    void* ctx;
+    std::atomic<std::size_t> cursor;
+    std::size_t end;
+    std::size_t cap;                 ///< max participants, counting the caller
+    std::size_t participants = 1;    ///< threads admitted, counting the caller
+    std::size_t active_workers = 0;  ///< workers inside right now
+    bool open = true;                ///< still on the list idle workers join
+    Region* next = nullptr;          ///< the next younger open region
+    std::exception_ptr first_error{};
+    std::condition_variable workers_left{};  ///< active_workers reached 0
+  };
+
   void run_region(std::size_t begin, std::size_t end, InvokeFn invoke,
                   void* ctx, std::size_t max_threads);
   void worker_loop();
-  void run_chunks();
+  void run_chunks(Region& region);
+  /// Takes `region` off the open list, if it is still there (mutex_ held).
+  void close(Region& region) noexcept;
 
   std::vector<std::thread> threads_;
 
-  /// Serializes whole regions across independent calling threads.
-  std::mutex region_mutex_;
-
   std::mutex mutex_;
   std::condition_variable work_ready_;
-  std::condition_variable work_done_;
-  std::uint64_t generation_ = 0;
+  Region* oldest_ = nullptr;  ///< FIFO of open regions, oldest first
+  Region* youngest_ = nullptr;
   bool shutdown_ = false;
-
-  // Current region. Published under mutex_ (generation bump is the release
-  // point); workers read after observing the new generation under the same
-  // mutex. The caller's final wait requires every worker to have both
-  // observed the region and left it before parallel_for returns, so the
-  // body never dangles.
-  InvokeFn invoke_ = nullptr;
-  void* ctx_ = nullptr;
-  std::atomic<std::size_t> cursor_{0};
-  std::size_t end_ = 0;
-  std::size_t observed_ = 0;        ///< workers that saw this generation
-  std::size_t active_workers_ = 0;  ///< workers inside the current region
-  std::size_t participants_ = 0;    ///< threads admitted to the region
-  std::size_t cap_ = 0;             ///< max participants (incl. the caller)
-  std::exception_ptr first_error_;
 };
 
 /// Process-wide persistent pool with default_parallelism() - 1 workers,
 /// created on first use. The shared pool is what the evaluation engine
-/// (local/optimal search, sweeps) draws on, so repeated searches never pay
-/// thread creation; independent callers serialize whole regions and nested
-/// use degrades to inline execution (see ThreadPool).
+/// (local/optimal search, sweeps, performance vectors) draws on, so repeated
+/// searches never pay thread creation; independent callers' regions share
+/// its workers and nested use degrades to inline execution (see ThreadPool).
 [[nodiscard]] ThreadPool& shared_pool();
 
 /// Maps f over [0, n), returning the results in index order. The result type

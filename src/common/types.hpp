@@ -12,6 +12,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace oagrid {
 
@@ -46,16 +47,24 @@ inline constexpr int kNumGroupSizes = kMaxGroupSize - kMinGroupSize + 1;
 /// smallest admissible group).
 inline constexpr Seconds kInfiniteTime = std::numeric_limits<Seconds>::infinity();
 
+namespace detail {
+/// Throws the std::invalid_argument of a failed OAGRID_REQUIRE, whose what()
+/// is "oagrid: <msg> [violated: <cond>]". Out of line and cold, so a check
+/// costs its caller a compare and a call on a branch laid out of the way,
+/// never an inlined string concatenation and throw.
+[[noreturn, gnu::cold]] void require_failed(std::string_view msg,
+                                            const char* cond);
+}  // namespace detail
+
 /// Throwing precondition check used at public API boundaries. Internal
 /// invariants use assert(); user-facing constructors use OAGRID_REQUIRE so a
 /// misconfigured experiment fails loudly with context instead of corrupting a
-/// multi-hour sweep.
-#define OAGRID_REQUIRE(cond, msg)                                     \
-  do {                                                                \
-    if (!(cond)) {                                                    \
-      throw std::invalid_argument(std::string("oagrid: ") + (msg) +   \
-                                  " [violated: " #cond "]");          \
-    }                                                                 \
+/// multi-hour sweep. `msg` (a string literal or a std::string) is evaluated
+/// only when the check fails.
+#define OAGRID_REQUIRE(cond, msg)                           \
+  do {                                                      \
+    if (!(cond)) [[unlikely]]                               \
+      ::oagrid::detail::require_failed((msg), #cond);       \
   } while (false)
 
 }  // namespace oagrid

@@ -1,5 +1,7 @@
 #include "platform/cluster.hpp"
 
+#include "common/hash.hpp"
+
 namespace oagrid::platform {
 
 Cluster::Cluster(std::string name, ProcCount resources, ProcCount min_group,
@@ -17,6 +19,16 @@ Cluster::Cluster(std::string name, ProcCount resources, ProcCount min_group,
   // Zero is allowed for synthetic workloads with no post phase (the generic
   // chain scheduler); the closed-form makespan model separately requires > 0.
   OAGRID_REQUIRE(post_time_ >= 0.0, "post-processing time must be >= 0");
+  signature_ = compute_signature();
+}
+
+std::uint64_t Cluster::compute_signature() const noexcept {
+  Fnv1a h;
+  h.i64(resources_);
+  h.i64(min_group_);
+  for (const Seconds t : main_times_) h.f64(t);
+  h.f64(post_time_);
+  return h.state;
 }
 
 Seconds Cluster::main_time(ProcCount g) const {
@@ -29,6 +41,7 @@ Cluster Cluster::with_resources(ProcCount r) const {
   Cluster copy = *this;
   OAGRID_REQUIRE(r >= 1, "cluster needs at least one processor");
   copy.resources_ = r;
+  copy.signature_ = copy.compute_signature();
   return copy;
 }
 

@@ -10,6 +10,7 @@
 /// tables, grid files and the synthesized models of speedup.hpp all arrive
 /// as one.
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,12 +49,21 @@ class Cluster {
   /// Copy with a different processor count (used by resource sweeps).
   [[nodiscard]] Cluster with_resources(ProcCount r) const;
 
+  /// FNV-1a over what a simulation of this cluster depends on: R, the
+  /// minimum group, the T[G] table and TP. The name is excluded, so renamed
+  /// copies share it. Computed once, at construction and in with_resources;
+  /// the eval cache keys clusters by it.
+  [[nodiscard]] std::uint64_t signature() const noexcept { return signature_; }
+
  private:
+  [[nodiscard]] std::uint64_t compute_signature() const noexcept;
+
   std::string name_;
   ProcCount resources_;
   ProcCount min_group_;
   std::vector<Seconds> main_times_;
   Seconds post_time_;
+  std::uint64_t signature_ = 0;
 };
 
 }  // namespace oagrid::platform

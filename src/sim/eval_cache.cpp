@@ -58,21 +58,12 @@ std::size_t EvalKeyHash::operator()(const EvalKey& key) const noexcept {
   return static_cast<std::size_t>(h.state);
 }
 
-std::uint64_t cluster_signature(const platform::Cluster& cluster) {
-  Fnv1a h;
-  h.i64(cluster.resources());
-  h.i64(cluster.min_group());
-  for (const Seconds t : cluster.main_times()) h.f64(t);
-  h.f64(cluster.post_time());
-  return h.state;
-}
-
 EvalKey make_eval_key(const platform::Cluster& cluster,
                       const sched::GroupSchedule& schedule,
                       const appmodel::Ensemble& ensemble,
                       const SimOptions& options) {
   EvalKey key;
-  key.cluster_sig = cluster_signature(cluster);
+  key.cluster_sig = cluster.signature();
   key.sizes = schedule.group_sizes;
   std::sort(key.sizes.begin(), key.sizes.end(), std::greater<>());
   key.scenarios = ensemble.scenarios;

@@ -12,8 +12,9 @@
 /// search become O(1) after their first visit.
 ///
 /// Design:
-///  * Keys are by value (EvalKey): a 64-bit content signature of the cluster
-///    (name excluded — only the numbers that influence the simulation), the
+///  * Keys are by value (EvalKey): the cluster's 64-bit content signature
+///    (platform::Cluster::signature: name excluded — only the numbers that
+///    influence the simulation, hashed once when the cluster is built), the
 ///    canonicalized partition, the workload (NS, NM), the post policy/pool,
 ///    restart hand-off, and the perturbation model (seed
 ///    normalized to zero when the model is inactive, so "no perturbation,
@@ -76,11 +77,6 @@ struct EvalKey {
 struct EvalKeyHash {
   [[nodiscard]] std::size_t operator()(const EvalKey& key) const noexcept;
 };
-
-/// FNV-1a over the cluster's simulation-relevant content: resources,
-/// min_group, the T[G] table, and the post time. The name is cosmetic and
-/// excluded (renamed copies of a cluster share cache entries).
-[[nodiscard]] std::uint64_t cluster_signature(const platform::Cluster& cluster);
 
 /// Builds the canonical key for simulating `schedule` on `cluster` over
 /// `ensemble`. Only the simulation-relevant subset of `options` enters the

@@ -79,6 +79,13 @@ TEST(Field, RegionalMeanThrowsOnEmptyRegion) {
   const Field f(4, 8);
   const Region sliver{"sliver", 89.99, 90, 0, 0.01};
   EXPECT_THROW((void)f.regional_mean(sliver), std::invalid_argument);
+  try {
+    (void)f.regional_mean(sliver);
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "oagrid: region 'sliver' covers no grid cell [violated: den "
+                 "> 0.0]");
+  }
 }
 
 TEST(Field, MinMax) {

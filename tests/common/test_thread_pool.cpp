@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -107,9 +110,9 @@ TEST(ThreadPool, MaxThreadsOneIsSequentialInOrder) {
 }
 
 TEST(ThreadPool, NestedRegionsRunInlineWithoutDeadlock) {
-  // Re-entering the pool from inside one of its own regions must not block
-  // on the region mutex: the nested-use guard runs the inner loop inline on
-  // the calling thread.
+  // Re-entering the pool from inside one of its own regions must not wait
+  // for workers that are busy in the outer region: the nested-use guard runs
+  // the inner loop inline on the calling thread.
   ThreadPool pool(3);
   std::atomic<long long> total{0};
   pool.parallel_for(0, 8, [&](std::size_t) {
@@ -121,8 +124,9 @@ TEST(ThreadPool, NestedRegionsRunInlineWithoutDeadlock) {
 }
 
 TEST(ThreadPool, ConcurrentCallersBothComplete) {
-  // Two threads driving regions on the same pool: regions serialize on the
-  // region mutex and neither caller's iterations are lost or duplicated.
+  // Two threads driving regions on the same pool: their regions overlap on
+  // the shared workers and neither caller's iterations are lost or
+  // duplicated.
   ThreadPool pool(2);
   std::atomic<long long> a{0};
   std::atomic<long long> b{0};
@@ -142,6 +146,147 @@ TEST(ThreadPool, ConcurrentCallersBothComplete) {
   tb.join();
   EXPECT_EQ(a.load(), 200LL * (31 * 32 / 2));
   EXPECT_EQ(b.load(), 200LL * (31 * 32 / 2));
+}
+
+// --- regions from independent callers overlap on the shared workers --------
+
+/// Polls `done` until it holds or `limit` passes; returns whether it held.
+/// A region that cannot start until another returns makes such a wait run
+/// out, so these tests fail rather than hang.
+template <typename Pred>
+bool wait_until(Pred done, std::chrono::seconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+constexpr std::chrono::seconds kOverlapLimit{10};
+
+TEST(ThreadPool, RegionReturnsWhileAnotherCallersBodyWaitsForIt) {
+  // Caller A's body waits for caller B's whole region. B must run next to A,
+  // not queue behind it.
+  ThreadPool pool(2);
+  std::atomic<bool> a_inside{false};
+  std::atomic<bool> b_returned{false};
+  std::atomic<bool> a_saw_b_return{false};
+  std::thread a([&] {
+    pool.parallel_for(0, 4, [&](std::size_t i) {
+      if (i != 0) return;
+      a_inside = true;
+      a_saw_b_return = wait_until([&] { return b_returned.load(); },
+                                  kOverlapLimit);
+    });
+  });
+  ASSERT_TRUE(wait_until([&] { return a_inside.load(); }, kOverlapLimit));
+  std::atomic<long long> b_total{0};
+  std::thread b([&] {
+    pool.parallel_for(0, 64, [&](std::size_t i) {
+      b_total += static_cast<long long>(i);
+    });
+    b_returned = true;
+  });
+  b.join();
+  a.join();
+  EXPECT_TRUE(a_saw_b_return.load());
+  EXPECT_EQ(b_total.load(), 63LL * 64 / 2);
+}
+
+TEST(ThreadPool, ExceptionReachesOnlyItsOwnCaller) {
+  // A's region throws while B's region runs next to it: only A sees the
+  // exception, and B still covers every index exactly once.
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> a_inside{false};
+    std::atomic<bool> b_inside{false};
+    std::atomic<bool> overlapped{true};
+    std::vector<std::atomic<int>> hits(500);
+    bool a_threw = false;
+    bool b_threw = false;
+    std::thread a([&] {
+      try {
+        pool.parallel_for(0, 100, [&](std::size_t i) {
+          if (i != 0) return;
+          a_inside = true;
+          if (!wait_until([&] { return b_inside.load(); }, kOverlapLimit))
+            overlapped = false;
+          throw std::runtime_error("region A");
+        });
+      } catch (const std::runtime_error& error) {
+        a_threw = std::string(error.what()) == "region A";
+      }
+    });
+    std::thread b([&] {
+      try {
+        pool.parallel_for(0, hits.size(), [&](std::size_t i) {
+          b_inside = true;
+          if (i == 0 &&
+              !wait_until([&] { return a_inside.load(); }, kOverlapLimit))
+            overlapped = false;
+          hits[i]++;
+        });
+      } catch (...) {
+        b_threw = true;
+      }
+    });
+    a.join();
+    b.join();
+    ASSERT_TRUE(overlapped.load()) << "round " << round;
+    EXPECT_TRUE(a_threw) << "round " << round;
+    EXPECT_FALSE(b_threw) << "round " << round;
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(ThreadPool, EachRegionsCapHoldsWhileRegionsOverlap) {
+  // Two callers with caps 2 and 3 on a 5-way pool: while both regions are
+  // open at once, neither admits more threads than its own cap.
+  ThreadPool pool(4);
+  struct Probe {
+    std::size_t cap;
+    std::atomic<int> inside{0};
+    std::atomic<int> peak{0};
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+  };
+  Probe probes[2];
+  probes[0].cap = 2;
+  probes[1].cap = 3;
+  std::atomic<bool> overlapped{true};
+  const auto run = [&](std::size_t self) {
+    Probe& probe = probes[self];
+    const Probe& other = probes[1 - self];
+    pool.parallel_for(
+        0, 64,
+        [&](std::size_t i) {
+          const int now = ++probe.inside;
+          int seen = probe.peak.load();
+          while (now > seen && !probe.peak.compare_exchange_weak(seen, now)) {
+          }
+          {
+            const std::scoped_lock lock(probe.mutex);
+            probe.threads.insert(std::this_thread::get_id());
+          }
+          if (i == 0 &&
+              !wait_until([&] { return other.peak.load() > 0; },
+                          kOverlapLimit))
+            overlapped = false;
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+          --probe.inside;
+        },
+        probe.cap);
+  };
+  std::thread a(run, 0);
+  std::thread b(run, 1);
+  a.join();
+  b.join();
+  EXPECT_TRUE(overlapped.load());
+  for (Probe& probe : probes) {
+    EXPECT_LE(static_cast<std::size_t>(probe.peak.load()), probe.cap);
+    EXPECT_LE(probe.threads.size(), probe.cap);
+  }
 }
 
 TEST(ThreadPool, ParallelTransformReturnsOrderedResults) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "platform/profiles.hpp"
 
 namespace oagrid::platform {
@@ -48,6 +49,27 @@ TEST(Cluster, WithResources) {
   EXPECT_EQ(c.resources(), 99);
   EXPECT_DOUBLE_EQ(c.main_time(4), 100);  // times unchanged
   EXPECT_THROW((void)simple().with_resources(0), std::invalid_argument);
+}
+
+TEST(Cluster, SignatureIsTheFnvOfItsSimulationNumbers) {
+  // The eval cache keys clusters by this value: it stays FNV-1a over R, the
+  // minimum group, T[G] and TP in that order, and with_resources recomputes
+  // it for the new R.
+  const auto reference = [](const Cluster& c) {
+    Fnv1a h;
+    h.i64(c.resources());
+    h.i64(c.min_group());
+    for (const Seconds t : c.main_times()) h.f64(t);
+    h.f64(c.post_time());
+    return h.state;
+  };
+  const Cluster c = simple();
+  EXPECT_EQ(c.signature(), reference(c));
+  const Cluster wider = c.with_resources(64);
+  EXPECT_EQ(wider.signature(), reference(wider));
+  EXPECT_NE(wider.signature(), c.signature());
+  EXPECT_EQ(Cluster("renamed", 40, 4, {100, 90, 80, 70}, 10).signature(),
+            c.signature());
 }
 
 TEST(Profiles, FiveProfilesSpanPaperAnchors) {

@@ -81,13 +81,13 @@ TEST(EvalKey, ClusterSignatureIgnoresNameOnly) {
   const std::vector<Seconds> times{100, 60, 45, 40};
   const platform::Cluster a("alpha", 32, 4, times, 20.0);
   const platform::Cluster b("beta", 32, 4, times, 20.0);
-  EXPECT_EQ(sim::cluster_signature(a), sim::cluster_signature(b));
+  EXPECT_EQ(a.signature(), b.signature());
 
   const platform::Cluster fewer("alpha", 24, 4, times, 20.0);
-  EXPECT_NE(sim::cluster_signature(a), sim::cluster_signature(fewer));
+  EXPECT_NE(a.signature(), fewer.signature());
 
   const platform::Cluster slower_post("alpha", 32, 4, times, 25.0);
-  EXPECT_NE(sim::cluster_signature(a), sim::cluster_signature(slower_post));
+  EXPECT_NE(a.signature(), slower_post.signature());
 }
 
 TEST(EvalKey, SeedIsNormalizedWhenPerturbationInactive) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "platform/profiles.hpp"
 #include "sim/eval_cache.hpp"
 #include "sim/grid_sim.hpp"
@@ -79,6 +82,30 @@ TEST(PerfVector, GridSimulationInvariantInThreadCount) {
   EXPECT_EQ(one.makespan, three.makespan);
   EXPECT_EQ(one.cluster_makespans, three.cluster_makespans);
   EXPECT_EQ(one.performance, three.performance);
+}
+
+TEST(PerfVector, ConcurrentCallersGetTheSerialVectors) {
+  // Figure 9's step 3: five SeDs ask for their cold vectors at once, so
+  // their regions share the pool. Each must get its serial vector exactly.
+  const auto grid = platform::make_builtin_grid(40);
+  const std::size_t n = grid.clusters().size();
+  ASSERT_EQ(n, 5u);
+  eval_cache().clear();
+  std::vector<sched::PerformanceVector> serial;
+  for (const platform::Cluster& cluster : grid.clusters())
+    serial.push_back(
+        reference_vector(cluster, 10, 60, sched::Heuristic::kKnapsack));
+  eval_cache().clear();
+  std::vector<sched::PerformanceVector> concurrent(n);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < n; ++c)
+    callers.emplace_back([&, c] {
+      concurrent[c] = performance_vector(grid.clusters()[c], 10, 60,
+                                         sched::Heuristic::kKnapsack);
+    });
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t c = 0; c < n; ++c)
+    EXPECT_EQ(concurrent[c], serial[c]) << grid.clusters()[c].name();
 }
 
 }  // namespace
