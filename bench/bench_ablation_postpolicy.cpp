@@ -8,6 +8,7 @@
 /// The freed processors in (b)/(c) are NOT given to groups, so any makespan
 /// change is attributable to post placement alone.
 
+#include <algorithm>
 #include <iostream>
 
 #include "bench_util.hpp"

@@ -1,8 +1,7 @@
 /// \file bench_alg1_repartition.cpp
 /// \brief Microbenchmarks of Algorithm 1 (greedy DAG repartition over
 /// heterogeneous clusters) on synthetic monotone performance vectors — the
-/// shape real simulations produce. Google-benchmark binary with --bench-json
-/// support.
+/// shape real simulations produce. Google-benchmark binary.
 ///
 /// The greedy series measures the heap-driven O(NS log C) placement loop
 /// (historically an O(NS * C) rescan of every cluster per scenario); the
@@ -12,10 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "sched/repartition.hpp"
 
@@ -82,11 +79,4 @@ BENCHMARK(BM_BruteForceRepartition)->Args({4, 12});
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  oagrid::bench::run_benchmarks(json);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -3,15 +3,13 @@
 /// key construction, hit/miss probe latency, eviction churn, and the
 /// end-to-end payoff — cached_makespan and local search on a warm cache over
 /// the (R=64, NS=10) reference workload. Each bench exports its measured
-/// cache hit rate as a user counter, which `--bench-json` carries into the
-/// machine-readable records.
+/// cache hit rate as a user counter, which `--benchmark_out` carries into
+/// the machine-readable records.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
 
-#include "bench_util.hpp"
 #include "platform/profiles.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/eval_cache.hpp"
@@ -127,11 +125,4 @@ BENCHMARK(BM_LocalSearchWarmCache);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  oagrid::bench::run_benchmarks(json);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

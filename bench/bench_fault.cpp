@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/failure.hpp"
 #include "fault/parser.hpp"
@@ -150,11 +149,4 @@ BENCHMARK(BM_ZeroFailureGate);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  oagrid::bench::run_benchmarks(json);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -6,10 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string>
 
 #include "appmodel/ensemble.hpp"
-#include "bench_util.hpp"
 #include "knapsack/knapsack.hpp"
 #include "platform/profiles.hpp"
 #include "sched/heuristics.hpp"
@@ -64,11 +62,4 @@ BENCHMARK(BM_KnapsackGroupingEndToEnd)->Arg(53)->Arg(120);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  oagrid::bench::run_benchmarks(json);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "net/fairshare.hpp"
 #include "net/network.hpp"
 #include "net/parser.hpp"
@@ -119,11 +118,4 @@ BENCHMARK(BM_ChargedRepartition);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  oagrid::bench::run_benchmarks(json);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

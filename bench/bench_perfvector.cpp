@@ -1,7 +1,7 @@
 /// \file bench_perfvector.cpp
 /// \brief Planning-path benchmark for step 2 of Figure 9: building the
 /// per-cluster performance vector ("the time needed to execute from 1 to NS
-/// simulations"). Google-benchmark binary with --bench-json support.
+/// simulations"). Google-benchmark binary.
 ///
 /// The cold-cache series is the acceptance gauge of the single-pass knapsack
 /// family solve: historically every k = 1..NS entry re-ran the §4.2 bounded
@@ -17,11 +17,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "platform/profiles.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/throughput.hpp"
@@ -62,9 +60,9 @@ BENCHMARK(BM_PerfVectorColdCache)
 /// each ask for a cold NS = 10 vector of their own cluster at once, over
 /// `months` = arg 1. Their regions share the pool, so this times how well
 /// independent regions overlap. The callers are persistent threads, as the
-/// SeDs are, released together by a barrier; real time is what counts. The
-/// timing thread only waits, so its CPU time (what the baseline gate
-/// compares) says nothing here: these rows stay out of bench/baselines.
+/// SeDs are, released together by a barrier; real time is what counts (the
+/// timing thread only waits, so its CPU time says nothing here), and the
+/// `/real_time` suffix makes the regression gate judge these rows on it.
 void BM_PerfVectorConcurrentCallers(benchmark::State& state) {
   const auto grid =
       platform::make_builtin_grid(static_cast<ProcCount>(state.range(0)));
@@ -141,11 +139,4 @@ BENCHMARK(BM_AnalyticPerfVector)
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  oagrid::bench::run_benchmarks(json);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

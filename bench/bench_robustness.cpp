@@ -8,8 +8,7 @@
 /// CLI consume, not an ad-hoc per-task coin flip.
 ///
 /// The narrative table prints first; the registered google-benchmark
-/// microbenchmarks (timing one perturbed heuristic comparison) run after it
-/// and honour --bench-json for machine-readable output.
+/// microbenchmarks (timing one perturbed heuristic comparison) run after it.
 
 #include <benchmark/benchmark.h>
 
@@ -124,11 +123,10 @@ BENCHMARK(BM_PerturbedComparison)->DenseRange(0, 4);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   print_tables();
-  oagrid::bench::run_benchmarks(json);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

@@ -10,7 +10,7 @@
 ///
 /// The narrative tables print first; the registered google-benchmark
 /// microbenchmarks (full shared run, journal recovery, failure-aware
-/// estimation) run after them and honour --bench-json.
+/// estimation) run after them.
 
 #include <benchmark/benchmark.h>
 
@@ -280,11 +280,10 @@ BENCHMARK(BM_FailureAwareEstimation);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   print_tables();
-  oagrid::bench::run_benchmarks(json);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "obs/obs.hpp"
 #include "platform/profiles.hpp"
 #include "sim/ensemble_sim.hpp"
@@ -121,10 +120,9 @@ bool check_obs_overhead() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json = oagrid::bench::extract_bench_json(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  oagrid::bench::run_benchmarks(json);
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return check_obs_overhead() ? 0 : 1;
 }

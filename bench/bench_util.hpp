@@ -2,14 +2,8 @@
 /// \file bench_util.hpp
 /// \brief Shared helpers for the figure-reproduction bench binaries.
 
-#include <benchmark/benchmark.h>
-
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -28,130 +22,6 @@ inline void banner(const std::string& artifact, const std::string& summary) {
             << "Reproduces: " << artifact << "\n"
             << summary << "\n"
             << "================================================================\n\n";
-}
-
-/// Strips `--bench-json FILE` / `--bench-json=FILE` out of argv (it must be
-/// removed before benchmark::Initialize rejects it as unrecognized) and
-/// returns the file path, empty when the flag is absent.
-inline std::string extract_bench_json(int& argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--bench-json" && i + 1 < argc) {
-      path = argv[++i];
-      continue;
-    }
-    if (arg.rfind("--bench-json=", 0) == 0) {
-      path = arg.substr(std::string("--bench-json=").size());
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return path;
-}
-
-/// Display reporter that forwards everything to the standard console
-/// reporter and additionally collects one machine-readable record per
-/// benchmark run, written as JSON in Finalize(). Used as the *display*
-/// reporter (not google-benchmark's file reporter, which is tied to the
-/// --benchmark_output flag), so `--bench-json` works standalone.
-///
-/// Record schema (stable; tools/check_bench_regression.py consumes it):
-///   {"schema": 1,
-///    "benchmarks": [{"name": str, "iterations": int,
-///                    "real_ns_per_op": float, "cpu_ns_per_op": float,
-///                    "counters": {str: float, ...}}, ...]}
-/// Aggregate rows (mean/median/stddev of repetitions) and errored runs are
-/// skipped: records are raw per-run measurements.
-class BenchJsonReporter : public benchmark::BenchmarkReporter {
- public:
-  explicit BenchJsonReporter(std::string path) : path_(std::move(path)) {}
-
-  bool ReportContext(const Context& context) override {
-    return console_.ReportContext(context);
-  }
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    console_.ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      Record record;
-      record.name = run.benchmark_name();
-      record.iterations = run.iterations;
-      const double iters =
-          run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      record.real_ns_per_op = run.real_accumulated_time * 1e9 / iters;
-      record.cpu_ns_per_op = run.cpu_accumulated_time * 1e9 / iters;
-      for (const auto& [name, counter] : run.counters)
-        record.counters.emplace_back(name, counter.value);
-      records_.push_back(std::move(record));
-    }
-  }
-
-  void Finalize() override {
-    console_.Finalize();
-    std::ofstream out(path_);
-    if (!out) throw std::runtime_error("cannot write bench JSON: " + path_);
-    out << "{\n  \"schema\": 1,\n  \"benchmarks\": [";
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
-      out << (i == 0 ? "\n" : ",\n");
-      out << "    {\"name\": \"" << escaped(r.name)
-          << "\", \"iterations\": " << r.iterations
-          << ", \"real_ns_per_op\": " << r.real_ns_per_op
-          << ", \"cpu_ns_per_op\": " << r.cpu_ns_per_op << ", \"counters\": {";
-      for (std::size_t c = 0; c < r.counters.size(); ++c) {
-        out << (c == 0 ? "" : ", ") << "\"" << escaped(r.counters[c].first)
-            << "\": " << r.counters[c].second;
-      }
-      out << "}}";
-    }
-    out << "\n  ]\n}\n";
-    std::cout << "bench JSON written to " << path_ << " (" << records_.size()
-              << " records)\n";
-  }
-
- private:
-  struct Record {
-    std::string name;
-    std::int64_t iterations = 0;
-    double real_ns_per_op = 0.0;
-    double cpu_ns_per_op = 0.0;
-    std::vector<std::pair<std::string, double>> counters;
-  };
-
-  static std::string escaped(const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char ch : text) {
-      if (ch == '"' || ch == '\\') {
-        out.push_back('\\');
-        out.push_back(ch);
-      } else if (static_cast<unsigned char>(ch) < 0x20) {
-        out.push_back(' ');
-      } else {
-        out.push_back(ch);
-      }
-    }
-    return out;
-  }
-
-  std::string path_;
-  benchmark::ConsoleReporter console_;
-  std::vector<Record> records_;
-};
-
-/// Runs the registered benchmarks, mirroring results into `json_path` when
-/// non-empty (console output is identical either way).
-inline void run_benchmarks(const std::string& json_path) {
-  if (json_path.empty()) {
-    benchmark::RunSpecifiedBenchmarks();
-    return;
-  }
-  BenchJsonReporter reporter(json_path);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
 }
 
 }  // namespace oagrid::bench

@@ -10,7 +10,9 @@
 /// mutex/condition-variable handshake with the workers that join, and the
 /// calling thread participates in the work, so a pool of W workers yields
 /// W+1-way parallelism. Every parallel loop in the library runs on
-/// shared_pool().
+/// shared_pool() except climate::CoupledModel's, which keeps a pool of its
+/// own: calibration measures T[G] at exact thread counts, and a region of
+/// the shared pool gets only the workers that are idle.
 ///
 /// Three properties the evaluation engine leans on:
 ///  * No per-call type erasure: parallel_for is a template dispatching the

@@ -1,33 +1,10 @@
 #include "service/estimator.hpp"
 
-#include "common/thread_pool.hpp"
 #include "fault/checkpoint.hpp"
 #include "sched/throughput.hpp"
 #include "sim/perf_vector.hpp"
 
 namespace oagrid::service {
-
-std::vector<sched::PerformanceVector> estimate_batch(
-    PerfEstimator& estimator, const std::vector<EstimateRequest>& requests,
-    std::size_t threads) {
-  std::vector<sched::PerformanceVector> results;
-  if (threads == 1 || requests.size() < 2 || !estimator.concurrent()) {
-    results.reserve(requests.size());
-    for (const EstimateRequest& r : requests)
-      results.push_back(
-          estimator.vector(r.cluster, r.scenarios, r.months, r.heuristic));
-    return results;
-  }
-  // parallel_transform hands back results in request index order, so callers
-  // fold over the same sequence the serial loop produces.
-  return parallel_transform(
-      shared_pool(), requests.size(),
-      [&](std::size_t i) {
-        const EstimateRequest& r = requests[i];
-        return estimator.vector(r.cluster, r.scenarios, r.months, r.heuristic);
-      },
-      threads);
-}
 
 sched::PerformanceVector AnalyticEstimator::vector(
     const platform::Cluster& cluster, Count scenarios, Count months,

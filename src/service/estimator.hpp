@@ -14,7 +14,6 @@
 /// Both are deterministic for fixed inputs — a requirement, since
 /// recovery re-runs the decision logic and must reach identical plans.
 
-#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,31 +35,7 @@ class PerfEstimator {
   [[nodiscard]] virtual sched::PerformanceVector vector(
       const platform::Cluster& cluster, Count scenarios, Count months,
       sched::Heuristic heuristic) = 0;
-
-  /// True when vector() may be called from several threads concurrently
-  /// (estimate_batch then fans requests over the shared thread pool).
-  /// Defaults to false so stateful custom backends stay safe by default.
-  [[nodiscard]] virtual bool concurrent() const noexcept { return false; }
 };
-
-/// One estimation request for estimate_batch.
-struct EstimateRequest {
-  platform::Cluster cluster;
-  Count scenarios = 0;
-  Count months = 0;
-  sched::Heuristic heuristic = sched::Heuristic::kKnapsack;
-};
-
-/// Evaluates a batch of independent estimation requests, fanning them over
-/// common/thread_pool's shared pool when `threads != 1` and the estimator
-/// declares itself concurrent(). Results come back in request order, so any
-/// downstream reduction (Algorithm 1 candidate scan, srmf minimum) stays a
-/// sequential fold over a deterministic sequence — bit-identical to the
-/// serial path at any thread count. `threads` caps the participating
-/// threads (0 = the whole pool, 1 = serial inline).
-[[nodiscard]] std::vector<sched::PerformanceVector> estimate_batch(
-    PerfEstimator& estimator, const std::vector<EstimateRequest>& requests,
-    std::size_t threads);
 
 /// Closed-form throughput estimate (no simulation).
 class AnalyticEstimator final : public PerfEstimator {
@@ -68,18 +43,15 @@ class AnalyticEstimator final : public PerfEstimator {
   [[nodiscard]] sched::PerformanceVector vector(
       const platform::Cluster& cluster, Count scenarios, Count months,
       sched::Heuristic heuristic) override;
-  [[nodiscard]] bool concurrent() const noexcept override { return true; }
 };
 
-/// Exact per-allotment discrete-event simulation, run inline. Concurrent:
-/// the DES is a pure function of its inputs and the process-global eval
-/// cache it warms is mutex-sharded.
+/// Exact per-allotment discrete-event simulation, run inline; the k runs of
+/// one vector share the pool inside sim::performance_vector.
 class SimEstimator final : public PerfEstimator {
  public:
   [[nodiscard]] sched::PerformanceVector vector(
       const platform::Cluster& cluster, Count scenarios, Count months,
       sched::Heuristic heuristic) override;
-  [[nodiscard]] bool concurrent() const noexcept override { return true; }
 };
 
 /// Decorator folding a fault::FailureModel into any estimator's vectors:
@@ -102,12 +74,6 @@ class FailureAwareEstimator final : public PerfEstimator {
   [[nodiscard]] sched::PerformanceVector vector(
       const platform::Cluster& cluster, Count scenarios, Count months,
       sched::Heuristic heuristic) override;
-
-  /// The decorator adds only closed-form arithmetic; concurrency-safety is
-  /// whatever the wrapped estimator provides.
-  [[nodiscard]] bool concurrent() const noexcept override {
-    return inner_.concurrent();
-  }
 
  private:
   PerfEstimator& inner_;

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 
 #include "service/wire.hpp"
@@ -248,22 +249,17 @@ JournalContents read_journal(const std::string& path) {
   contents.config.max_active = cursor.get<std::uint32_t>();
   contents.config.grid = cursor.get<std::uint64_t>();
 
+  const auto size = static_cast<std::uint64_t>(file_size);
   std::string payload;
   for (;;) {
-    const auto record_start = in.tellg();
+    contents.valid_bytes = static_cast<std::uint64_t>(in.tellg());
     try {
-      if (!read_record(in, payload,
-                       static_cast<std::uint64_t>(file_size - record_start)))
-        break;
+      if (!read_record(in, payload, size - contents.valid_bytes)) break;
       contents.events.push_back(decode_event(payload));
     } catch (const std::invalid_argument&) {
-      // Torn or corrupt record: the valid prefix ends here. Measure what
-      // is being dropped, then stop — WAL semantics.
-      in.clear();
-      in.seekg(0, std::ios::end);
+      // Torn or corrupt record: the valid prefix ends here — WAL semantics.
       contents.torn_tail = true;
-      contents.dropped_bytes =
-          static_cast<std::uint64_t>(in.tellg() - record_start);
+      contents.dropped_bytes = size - contents.valid_bytes;
       break;
     }
   }
@@ -286,29 +282,14 @@ JournalWriter::JournalWriter(const std::string& path, std::uint64_t base_seq,
 
 JournalWriter JournalWriter::reopen(const std::string& path,
                                     const JournalContents& contents) {
-  // Compute the byte length of the validated prefix, then truncate any torn
-  // tail by rewriting in place is avoided: we re-append to the valid length
-  // using filesystem resize semantics (open in/out keeps existing bytes).
-  std::uint64_t valid_bytes = kHeaderSize;
-  for (const Event& event : contents.events)
-    valid_bytes += 2 * sizeof(std::uint32_t) + encode_event(event).size();
-
-  if (contents.torn_tail) {
-    // Rewrite header + valid records; simplest portable truncation.
-    JournalWriter writer(path + ".rewrite", contents.base_seq,
-                         contents.config);
-    for (const Event& event : contents.events) writer.append(event);
-    writer.out_.close();
-    if (std::rename((path + ".rewrite").c_str(), path.c_str()) != 0)
-      throw std::runtime_error("oagrid: cannot replace torn journal " + path);
-  }
-
+  // Cut any torn tail off, then append right after the validated prefix.
+  std::filesystem::resize_file(path, contents.valid_bytes);
   JournalWriter writer;
   writer.path_ = path;
   writer.out_.open(path, std::ios::binary | std::ios::in | std::ios::out);
   if (!writer.out_)
     throw std::invalid_argument("oagrid: cannot reopen journal " + path);
-  writer.out_.seekp(static_cast<std::streamoff>(valid_bytes));
+  writer.out_.seekp(static_cast<std::streamoff>(contents.valid_bytes));
   writer.seq_ = contents.end_seq();
   return writer;
 }

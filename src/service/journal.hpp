@@ -25,8 +25,10 @@
 ///   snapshot := "OAGP" u32 version=1 u64 seq  u32 payload_len
 ///               u32 crc32(payload)  payload    (opaque service state)
 ///
-/// Records are flushed per append; the snapshot is written to a temporary
-/// file and renamed so a crash never leaves a half-written snapshot behind.
+/// Records are flushed per append, or per commit() under group commit (the
+/// mode the service's CLI runs in: one batch per processed event); the
+/// snapshot is written to a temporary file and renamed so a crash never
+/// leaves a half-written snapshot behind.
 
 #include <cstdint>
 #include <fstream>
@@ -109,6 +111,7 @@ struct JournalContents {
   std::vector<Event> events;    ///< valid prefix, in append order
   bool torn_tail = false;       ///< trailing bytes dropped (torn/corrupt)
   std::uint64_t dropped_bytes = 0;
+  std::uint64_t valid_bytes = 0; ///< header + valid prefix: file size - dropped
 
   [[nodiscard]] std::uint64_t end_seq() const noexcept {
     return base_seq + events.size();
@@ -140,9 +143,9 @@ class JournalWriter {
   JournalWriter(const std::string& path, std::uint64_t base_seq,
                 const JournalConfig& config);
 
-  /// Re-opens an existing journal for appending. `valid_bytes` is the byte
-  /// length of the validated prefix (read_journal knows it implicitly);
-  /// anything beyond it — a torn tail — is truncated away first.
+  /// Re-opens an existing journal for appending after `contents`, which
+  /// read_journal returned for it: anything beyond `contents.valid_bytes` —
+  /// a torn tail — is truncated away first.
   static JournalWriter reopen(const std::string& path,
                               const JournalContents& contents);
 

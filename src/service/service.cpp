@@ -374,19 +374,14 @@ double CampaignService::admission_priority(CampaignId id) {
       const auto cached = srmf_estimate_.find(id);
       if (cached != srmf_estimate_.end()) return cached->second;
       // Optimistic bound: the best single-cluster makespan of the whole
-      // campaign. Cached — the spec never changes while queued. The vectors
-      // are independent, so they fan out over the pool; the min is folded in
-      // cluster order either way.
-      std::vector<EstimateRequest> requests;
-      requests.reserve(static_cast<std::size_t>(grid_.cluster_count()));
-      for (ClusterId c = 0; c < grid_.cluster_count(); ++c)
-        requests.push_back({grid_.cluster(c), state.spec.scenarios,
-                            state.spec.months, options_.heuristic});
-      const std::vector<sched::PerformanceVector> vectors =
-          estimate_batch(*estimator_, requests, options_.estimator_threads);
+      // campaign. Cached — the spec never changes while queued.
       double best = std::numeric_limits<double>::infinity();
-      for (const sched::PerformanceVector& vector : vectors)
+      for (ClusterId c = 0; c < grid_.cluster_count(); ++c) {
+        const sched::PerformanceVector vector =
+            estimator_->vector(grid_.cluster(c), state.spec.scenarios,
+                               state.spec.months, options_.heuristic);
         best = std::min(best, vector.back());
+      }
       srmf_estimate_.emplace(id, best);
       return best;
     }
@@ -548,20 +543,16 @@ void CampaignService::admit(CampaignId id) {
 
   // Scenario placement (Algorithm 1) over the draft allotments: one
   // performance vector per granted cluster, each computed on the cluster
-  // resized to the lease. The vectors are independent, so the batch fans
-  // out over the pool; greedy_repartition folds them in candidate order
-  // regardless, so the placement is identical at any thread count.
+  // resized to the lease.
   std::vector<ClusterId> leased;
-  std::vector<EstimateRequest> requests;
+  std::vector<sched::PerformanceVector> vectors;
   for (const Lease& lease : draft) {
     if (lease.campaign != id) continue;
     leased.push_back(lease.cluster);
-    requests.push_back(
-        {grid_.cluster(lease.cluster).with_resources(lease.procs), scenarios,
-         state.spec.months, options_.heuristic});
+    vectors.push_back(estimator_->vector(
+        grid_.cluster(lease.cluster).with_resources(lease.procs), scenarios,
+        state.spec.months, options_.heuristic));
   }
-  const std::vector<sched::PerformanceVector> vectors =
-      estimate_batch(*estimator_, requests, options_.estimator_threads);
   const sched::Repartition repartition =
       sched::greedy_repartition(vectors, scenarios);
 

@@ -85,11 +85,6 @@ struct ServiceOptions {
   /// the claims, every cached result and every admission pick are compared
   /// against a full recompute; any divergence throws. Slow — for tests.
   bool verify_incremental = false;
-
-  /// Threads for batched performance estimation (admission placement and
-  /// srmf priorities): 1 = serial (default), 0 = the whole shared pool,
-  /// N = at most N. Results are bit-identical at any setting.
-  std::size_t estimator_threads = 1;
 };
 
 /// What recover() found and rebuilt.

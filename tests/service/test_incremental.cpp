@@ -4,22 +4,19 @@
 /// coverage must equal a full recompute on every tick, for any workload.
 /// These property tests drive randomized campaign mixes through the service
 /// with the built-in cross-check (the full recompute as oracle) on and off,
-/// and with serial vs parallel estimation, and require identical outcomes
-/// and identical journal bytes.
+/// and require identical outcomes and identical journal bytes.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "platform/profiles.hpp"
-#include "service/estimator.hpp"
 #include "service/journal.hpp"
 #include "service/service.hpp"
 
@@ -102,17 +99,13 @@ struct RunResult {
 };
 
 RunResult run_workload(const std::vector<Entry>& entries, QueuePolicy policy,
-                       const std::string& dir, bool verify_incremental,
-                       std::size_t estimator_threads = 1,
-                       PerfEstimator* estimator = nullptr) {
+                       const std::string& dir, bool verify_incremental) {
   ServiceOptions options;
   options.policy = policy;
   options.max_active = 3;
   options.queue_capacity = 8;  // small enough that rejections happen too
   options.journal_dir = dir;
   options.verify_incremental = verify_incremental;
-  options.estimator_threads = estimator_threads;
-  options.estimator = estimator;
   CampaignService service(test_grid(), std::move(options));
   for (const Entry& entry : entries)
     (void)service.submit(entry.spec, entry.at);
@@ -169,41 +162,6 @@ TEST(Incremental, MatchesFullRecomputeBitForBit) {
                        /*verify_incremental=*/true);
       ASSERT_EQ(fast.finals, checked.finals) << "seed " << seed;
       ASSERT_EQ(fast.journal_bytes, checked.journal_bytes) << "seed " << seed;
-    }
-  }
-}
-
-// Batched estimation fans vectors over the shared pool but folds them in
-// request order, so any thread count must give bit-identical decisions.
-// srmf exercises it hardest: estimates feed the admission order itself.
-// Both concurrent estimators are covered: the closed form and the DES.
-TEST(Incremental, EstimatorThreadCountNeverChangesTheOutcome) {
-  AnalyticEstimator analytic;
-  SimEstimator des;
-  const std::pair<const char*, PerfEstimator*> estimators[] = {
-      {"analytic", &analytic}, {"sim", &des}};
-  for (const auto& [name, estimator] : estimators) {
-    for (std::uint64_t seed = 3; seed <= 6; ++seed) {
-      const std::vector<Entry> entries = random_workload(seed);
-      for (const QueuePolicy policy :
-           {QueuePolicy::kShortestRemaining, QueuePolicy::kWeightedFairShare}) {
-        const std::string tag = std::string(name) + "-" +
-                                std::to_string(seed) + "-" +
-                                std::string(to_string(policy));
-        const RunResult serial =
-            run_workload(entries, policy, temp_dir("incr-t1-" + tag), false,
-                         /*estimator_threads=*/1, estimator);
-        const RunResult parallel =
-            run_workload(entries, policy, temp_dir("incr-t4-" + tag), false,
-                         /*estimator_threads=*/4, estimator);
-        const RunResult whole_pool =
-            run_workload(entries, policy, temp_dir("incr-t0-" + tag), false,
-                         /*estimator_threads=*/0, estimator);
-        ASSERT_EQ(serial.finals, parallel.finals) << tag;
-        ASSERT_EQ(serial.journal_bytes, parallel.journal_bytes) << tag;
-        ASSERT_EQ(serial.finals, whole_pool.finals) << tag;
-        ASSERT_EQ(serial.journal_bytes, whole_pool.journal_bytes) << tag;
-      }
     }
   }
 }

@@ -840,10 +840,6 @@ int cmd_serve(const std::vector<std::string>& argv) {
       .add_option("kill-after",
                   "crash injection: die after N journal appends (-1 = off)",
                   "-1")
-      .add_option("threads",
-                  "threads for batched performance estimation "
-                  "(1 = serial, 0 = all cores; results are identical)",
-                  "1")
       .add_flag("resume",
                 "recover from --journal, then run the not-yet-journaled "
                 "tail of --campaigns");
@@ -870,8 +866,6 @@ int cmd_serve(const std::vector<std::string>& argv) {
   // One journal flush per processed event; the bytes on disk are those of
   // per-record commits.
   options.group_commit = true;
-  options.estimator_threads =
-      static_cast<std::size_t>(args.get_int("threads"));
   std::unique_ptr<service::PerfEstimator> estimator;
   if (const std::string name = args.get("estimator"); name == "sim")
     estimator = std::make_unique<service::SimEstimator>();
