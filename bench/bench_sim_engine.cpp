@@ -4,9 +4,10 @@
 /// benches can afford.
 ///
 /// The custom main() additionally gates the observability overhead: the
-/// same campaign is simulated with obs off and obs on (metrics recording),
-/// interleaved to cancel frequency drift, and the binary fails (exit 1) if
-/// the median instrumented run is more than 5% slower.
+/// same campaign is simulated with obs off and obs on (metrics recording) in
+/// pairs whose order alternates, to cancel frequency drift and run-order
+/// effects, and the binary fails (exit 1) if the median instrumented run is
+/// more than 5% slower.
 
 #include <benchmark/benchmark.h>
 
@@ -68,21 +69,32 @@ bool check_obs_overhead() {
   const auto cluster = platform::make_builtin_cluster(1, 53);
   const appmodel::Ensemble ensemble{10, 150};
   const auto schedule = sched::knapsack_grouping(cluster, ensemble);
-  constexpr int kRounds = 21;
+  // A campaign takes about 0.1 ms: 201 pairs steady the medians and still
+  // cost well under a second.
+  constexpr int kRounds = 201;
 
   // Warm-up: page in code and the allocator.
   obs::set_enabled(false);
   (void)timed_campaign_us(cluster, schedule, ensemble);
 
+  // Paired rounds, the side that runs first alternating: a campaign runs
+  // faster or slower depending on what ran just before it, and a fixed
+  // order would charge that to one side.
   std::vector<double> off_us, metrics_us, trace_us;
+  for (int round = 0; round < kRounds; ++round) {
+    const bool metrics_first = round % 2 == 0;
+    for (const bool metrics : {metrics_first, !metrics_first}) {
+      obs::set_enabled(metrics);
+      (metrics ? metrics_us : off_us)
+          .push_back(timed_campaign_us(cluster, schedule, ensemble));
+    }
+  }
+  // The traced campaigns fill the trace buffer and free it again, so they
+  // run in their own loop, after the pairs.
   sim::SimOptions traced;
   traced.capture_trace = true;
+  obs::set_enabled(true);
   for (int round = 0; round < kRounds; ++round) {
-    // Interleaved A/B/A so clock drift and cache state hit both sides alike.
-    obs::set_enabled(false);
-    off_us.push_back(timed_campaign_us(cluster, schedule, ensemble));
-    obs::set_enabled(true);
-    metrics_us.push_back(timed_campaign_us(cluster, schedule, ensemble));
     const auto start = std::chrono::steady_clock::now();
     sim::export_sim_timeline(
         sim::simulate_ensemble(cluster, schedule, ensemble, traced).trace,

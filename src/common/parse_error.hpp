@@ -17,9 +17,12 @@
 /// directly clickable.
 
 #include <cctype>
+#include <functional>
 #include <istream>
 #include <stdexcept>
 #include <string>
+
+#include "common/types.hpp"
 
 namespace oagrid {
 
@@ -65,5 +68,23 @@ template <typename T>
 /// Throws a ParseError at `source:line` when `rest` holds another token: a
 /// directive must consume its whole line.
 void expect_line_end(std::istream& rest, const std::string& source, int line);
+
+/// Reads the next token as a cluster id in [0, count), or throws a ParseError
+/// at `source:line`.
+[[nodiscard]] ClusterId read_cluster_id(std::istream& in,
+                                        const std::string& source, int line,
+                                        int count);
+
+/// One directive: its keyword, the rest of its line, and its line number.
+using Directive =
+    std::function<void(const std::string& keyword, std::istream& rest,
+                       int line)>;
+
+/// The line loop of every directive-per-line text input (grid, network and
+/// failure files): counts each line, cuts it at '#', skips it when blank,
+/// calls `directive` with its first token and the rest, then requires the
+/// directive to have consumed the whole line (expect_line_end).
+void for_each_directive(std::istream& in, const std::string& source,
+                        const Directive& directive);
 
 }  // namespace oagrid

@@ -45,7 +45,6 @@ void ThreadPool::worker_loop() {
       continue;
     }
     ++region.active_workers;
-    if (++region.participants == region.cap) close(region);
     lock.unlock();
     {
       const detail::RegionMark mark;
@@ -86,22 +85,16 @@ void ThreadPool::close(Region& region) noexcept {
 }
 
 void ThreadPool::run_region(std::size_t begin, std::size_t end,
-                            InvokeFn invoke, void* ctx,
-                            std::size_t max_threads) {
-  Region region{.invoke = invoke,
-                .ctx = ctx,
-                .cursor = begin,
-                .end = end,
-                .cap = max_threads == 0 ? threads_.size() + 1 : max_threads};
+                            InvokeFn invoke, void* ctx) {
+  Region region{.invoke = invoke, .ctx = ctx, .cursor = begin, .end = end};
   {
     const std::scoped_lock lock(mutex_);
     (youngest_ != nullptr ? youngest_->next : oldest_) = &region;
     youngest_ = &region;
   }
-  // Wake no more workers than the region can admit or give work to; busy
-  // workers look at the open list again when they leave their region.
-  const std::size_t helpers =
-      std::min({region.cap - 1, threads_.size(), end - begin - 1});
+  // Wake no more workers than the region can give work to; busy workers
+  // look at the open list again when they leave their region.
+  const std::size_t helpers = std::min(threads_.size(), end - begin - 1);
   for (std::size_t w = 0; w < helpers; ++w) work_ready_.notify_one();
 
   {

@@ -25,9 +25,13 @@
 ///  * Shared workers across callers: independent threads may call
 ///    parallel_for on the same pool concurrently. Each region lives on its
 ///    caller's stack and joins a FIFO of open regions; an idle worker joins
-///    the oldest open region, up to that region's cap. Regions overlap
-///    instead of taking turns: every caller works on its own region from the
-///    start and waits only for the workers inside it.
+///    the oldest open region that still has iterations to claim. Regions
+///    overlap instead of taking turns: every caller works on its own region
+///    from the start and waits only for the workers inside it.
+///
+/// Every region runs at the pool's width. A caller that wants a serial run
+/// makes its call on a zero-worker pool: the loop runs on the caller, in
+/// index order, and any region its body opens (on any pool) runs inline too.
 
 #include <atomic>
 #include <condition_variable>
@@ -83,16 +87,14 @@ class ThreadPool {
   /// the body are captured and the first one rethrown here, to this caller
   /// only.
   ///
-  /// `max_threads` caps the number of participating threads (including the
-  /// caller); 0 means workers + 1. A cap of 1, a nested call from inside any
-  /// parallel region, or a zero-worker pool all run the loop inline — in
-  /// index order, so single-threaded executions stay deterministic.
+  /// A zero-worker pool, a single iteration or a nested call from inside any
+  /// parallel region runs the loop inline — in index order, so serial
+  /// executions stay deterministic.
   template <typename Body>
-  void parallel_for(std::size_t begin, std::size_t end, Body&& body,
-                    std::size_t max_threads = 0) {
+  void parallel_for(std::size_t begin, std::size_t end, Body&& body) {
     if (begin >= end) return;
     using Fn = std::remove_reference_t<Body>;
-    if (threads_.empty() || max_threads == 1 || end - begin == 1 ||
+    if (threads_.empty() || end - begin == 1 ||
         detail::in_parallel_region()) {
       const detail::RegionMark mark;
       for (std::size_t i = begin; i < end; ++i) body(i);
@@ -100,8 +102,7 @@ class ThreadPool {
     }
     run_region(begin, end, &invoke_thunk<Fn>,
                const_cast<void*>(
-                   static_cast<const void*>(std::addressof(body))),
-               max_threads);
+                   static_cast<const void*>(std::addressof(body))));
   }
 
  private:
@@ -120,8 +121,6 @@ class ThreadPool {
     void* ctx;
     std::atomic<std::size_t> cursor;
     std::size_t end;
-    std::size_t cap;                 ///< max participants, counting the caller
-    std::size_t participants = 1;    ///< threads admitted, counting the caller
     std::size_t active_workers = 0;  ///< workers inside right now
     bool open = true;                ///< still on the list idle workers join
     Region* next = nullptr;          ///< the next younger open region
@@ -130,7 +129,7 @@ class ThreadPool {
   };
 
   void run_region(std::size_t begin, std::size_t end, InvokeFn invoke,
-                  void* ctx, std::size_t max_threads);
+                  void* ctx);
   void worker_loop();
   void run_chunks(Region& region);
   /// Takes `region` off the open list, if it is still there (mutex_ held).
@@ -154,15 +153,13 @@ class ThreadPool {
 
 /// Maps f over [0, n), returning the results in index order. The result type
 /// is deduced from f; bodies run via ThreadPool::parallel_for, so no per-call
-/// std::function allocation. `max_threads` as in parallel_for.
+/// std::function allocation.
 template <typename F>
-auto parallel_transform(ThreadPool& pool, std::size_t n, F&& f,
-                        std::size_t max_threads = 0)
+auto parallel_transform(ThreadPool& pool, std::size_t n, F&& f)
     -> std::vector<std::decay_t<decltype(f(std::size_t{0}))>> {
   using R = std::decay_t<decltype(f(std::size_t{0}))>;
   std::vector<R> out(n);
-  pool.parallel_for(
-      0, n, [&](std::size_t i) { out[i] = f(i); }, max_threads);
+  pool.parallel_for(0, n, [&](std::size_t i) { out[i] = f(i); });
   return out;
 }
 

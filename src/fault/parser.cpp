@@ -9,24 +9,15 @@
 namespace oagrid::fault {
 namespace {
 
-ClusterId read_cluster(std::istringstream& in, const std::string& source,
-                       int line, int count) {
-  ClusterId c = -1;
-  if (!read_number(in, c) || c < 0 || c >= count)
-    throw_parse_error(source, line, "expected a cluster id in [0, " +
-                                        std::to_string(count) + ")");
-  return c;
-}
-
-double read_positive(std::istringstream& in, const std::string& source,
-                     int line, const std::string& what) {
+double read_positive(std::istream& in, const std::string& source, int line,
+                     const std::string& what) {
   double v = 0.0;
   if (!read_number(in, v) || v <= 0.0)
     throw_parse_error(source, line, "expected a positive " + what);
   return v;
 }
 
-double read_non_negative(std::istringstream& in, const std::string& source,
+double read_non_negative(std::istream& in, const std::string& source,
                          int line, const std::string& what) {
   double v = -1.0;
   if (!read_number(in, v) || v < 0.0)
@@ -38,17 +29,8 @@ double read_non_negative(std::istringstream& in, const std::string& source,
 
 FailureModel parse_failures(std::istream& in, const std::string& source) {
   std::optional<FailureModel> model;
-  std::string raw;
-  int line_no = 0;
-
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) continue;  // blank / comment-only line
-
+  for_each_directive(in, source, [&](const std::string& keyword,
+                                     std::istream& line, int line_no) {
     if (keyword == "failures") {
       if (model)
         throw_parse_error(source, line_no, "duplicate 'failures' directive");
@@ -67,14 +49,14 @@ FailureModel parse_failures(std::istream& in, const std::string& source) {
       model->set_seed(seed);
     } else if (keyword == "mtbf") {
       const ClusterId c =
-          read_cluster(line, source, line_no, model->cluster_count());
+          read_cluster_id(line, source, line_no, model->cluster_count());
       const double mtbf = read_positive(line, source, line_no, "MTBF [s]");
       const double mttr =
           read_non_negative(line, source, line_no, "MTTR [s]");
       model->set_exponential(c, mtbf, mttr);
     } else if (keyword == "weibull") {
       const ClusterId c =
-          read_cluster(line, source, line_no, model->cluster_count());
+          read_cluster_id(line, source, line_no, model->cluster_count());
       const double shape =
           read_positive(line, source, line_no, "Weibull shape");
       const double mtbf = read_positive(line, source, line_no, "MTBF [s]");
@@ -83,7 +65,7 @@ FailureModel parse_failures(std::istream& in, const std::string& source) {
       model->set_weibull(c, shape, mtbf, mttr);
     } else if (keyword == "outage") {
       const ClusterId c =
-          read_cluster(line, source, line_no, model->cluster_count());
+          read_cluster_id(line, source, line_no, model->cluster_count());
       const double start =
           read_non_negative(line, source, line_no, "outage start [s]");
       const double duration =
@@ -91,13 +73,12 @@ FailureModel parse_failures(std::istream& in, const std::string& source) {
       model->add_outage(c, start, duration);
     } else if (keyword == "down") {
       model->set_down(
-          read_cluster(line, source, line_no, model->cluster_count()));
+          read_cluster_id(line, source, line_no, model->cluster_count()));
     } else {
       throw_parse_error(source, line_no,
                         "unknown directive '" + keyword + "'");
     }
-    expect_line_end(line, source, line_no);
-  }
+  });
   if (!model) throw_parse_error(source, "no 'failures <count>' line");
   return *model;
 }

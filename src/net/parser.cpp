@@ -10,8 +10,7 @@ namespace oagrid::net {
 namespace {
 
 /// Reads "<bandwidth> <latency>" where bandwidth may be `inf`.
-LinkSpec read_spec(std::istringstream& in, const std::string& source,
-                   int line) {
+LinkSpec read_spec(std::istream& in, const std::string& source, int line) {
   std::string bw_token;
   LinkSpec spec;
   if (!(in >> bw_token))
@@ -29,30 +28,12 @@ LinkSpec read_spec(std::istringstream& in, const std::string& source,
   return spec;
 }
 
-ClusterId read_cluster(std::istringstream& in, const std::string& source,
-                       int line, int count) {
-  ClusterId c = -1;
-  if (!read_number(in, c) || c < 0 || c >= count)
-    throw_parse_error(source, line, "expected a cluster id in [0, " +
-                                        std::to_string(count) + ")");
-  return c;
-}
-
 }  // namespace
 
 NetworkModel parse_network(std::istream& in, const std::string& source) {
   std::optional<NetworkModel> model;
-  std::string raw;
-  int line_no = 0;
-
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) continue;  // blank / comment-only line
-
+  for_each_directive(in, source, [&](const std::string& keyword,
+                                     std::istream& line, int line_no) {
     if (keyword == "network") {
       if (model)
         throw_parse_error(source, line_no, "duplicate 'network' directive");
@@ -70,23 +51,22 @@ NetworkModel parse_network(std::istream& in, const std::string& source) {
       model->set_default_intra(read_spec(line, source, line_no));
     } else if (keyword == "link") {
       const ClusterId a =
-          read_cluster(line, source, line_no, model->cluster_count());
+          read_cluster_id(line, source, line_no, model->cluster_count());
       const ClusterId b =
-          read_cluster(line, source, line_no, model->cluster_count());
+          read_cluster_id(line, source, line_no, model->cluster_count());
       if (a == b)
         throw_parse_error(source, line_no,
                           "'link' endpoints must differ (use 'intra')");
       model->set_link(a, b, read_spec(line, source, line_no));
     } else if (keyword == "intra") {
       const ClusterId c =
-          read_cluster(line, source, line_no, model->cluster_count());
+          read_cluster_id(line, source, line_no, model->cluster_count());
       model->set_intra(c, read_spec(line, source, line_no));
     } else {
       throw_parse_error(source, line_no,
                         "unknown directive '" + keyword + "'");
     }
-    expect_line_end(line, source, line_no);
-  }
+  });
   if (!model) throw_parse_error(source, "no 'network <count>' line");
   return *model;
 }

@@ -38,20 +38,11 @@ Grid parse_grid(std::istream& in, const std::string& source) {
   Grid grid;
   std::optional<PendingCluster> current;
   std::set<std::string> names;
-  std::string raw;
-  int line_no = 0;
-  const auto fail = [&](const std::string& message) {
-    throw_parse_error(source, line_no, message);
-  };
-
-  while (std::getline(in, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string keyword;
-    if (!(line >> keyword)) continue;  // blank / comment-only line
-
+  for_each_directive(in, source, [&](const std::string& keyword,
+                                     std::istream& line, int line_no) {
+    const auto fail = [&](const std::string& message) {
+      throw_parse_error(source, line_no, message);
+    };
     if (keyword == "cluster") {
       if (current) grid.add_cluster(finish(*current, source));
       current.emplace();
@@ -88,8 +79,7 @@ Grid parse_grid(std::istream& in, const std::string& source) {
     } else {
       fail("unknown directive '" + keyword + "'");
     }
-    expect_line_end(line, source, line_no);
-  }
+  });
   if (current) grid.add_cluster(finish(*current, source));
   if (grid.cluster_count() == 0)
     throw_parse_error(source, "no 'cluster' directive");

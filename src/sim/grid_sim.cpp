@@ -221,23 +221,24 @@ GridSimResult simulate_grid(const platform::Grid& grid,
   ensemble.validate();
   OAGRID_REQUIRE(grid.cluster_count() >= 1, "grid needs at least one cluster");
   const auto n = static_cast<std::size_t>(grid.cluster_count());
+  // threads == 1 runs both loops here, in cluster order, and with them the
+  // performance vectors' nested regions.
+  ThreadPool serial(0);
+  ThreadPool& pool = threads == 1 ? serial : shared_pool();
   const auto estimate = [&] {
     const bool observed = obs::enabled();
     obs::Histogram* const perf_us =
         observed ? &obs::metrics().histogram("sim.perf_vector_us") : nullptr;
     std::vector<sched::PerformanceVector> performance(n);
-    shared_pool().parallel_for(
-        0, n,
-        [&](std::size_t c) {
-          const platform::Cluster& cluster =
-              grid.cluster(static_cast<ClusterId>(c));
-          obs::ScopedTimer timer(perf_us);
-          obs::Span span(observed ? &obs::trace_buffer() : nullptr,
-                         "perf vector: " + cluster.name(), "sim");
-          performance[c] = performance_vector(cluster, ensemble.scenarios,
-                                              ensemble.months, heuristic);
-        },
-        threads);
+    pool.parallel_for(0, n, [&](std::size_t c) {
+      const platform::Cluster& cluster =
+          grid.cluster(static_cast<ClusterId>(c));
+      obs::ScopedTimer timer(perf_us);
+      obs::Span span(observed ? &obs::trace_buffer() : nullptr,
+                     "perf vector: " + cluster.name(), "sim");
+      performance[c] = performance_vector(cluster, ensemble.scenarios,
+                                          ensemble.months, heuristic);
+    });
     return performance;
   };
   // The clean vector entry, replaced by a failure-injected DES run wherever
@@ -245,23 +246,20 @@ GridSimResult simulate_grid(const platform::Grid& grid,
   const auto execute = [&](const GridSimResult& campaign,
                            std::span<const Seconds> migrate_staging) {
     std::vector<std::optional<ShareRun>> runs(n);
-    shared_pool().parallel_for(
-        0, n,
-        [&](std::size_t c) {
-          const Count k = campaign.repartition.dags_per_cluster[c];
-          const auto id = static_cast<ClusterId>(c);
-          if (k <= 0) return;
-          if (!fault_options.model.cluster_active(id)) {
-            runs[c] = ShareRun{
-                campaign.performance[c][static_cast<std::size_t>(k) - 1], {}};
-            return;
-          }
-          const SimResult r =
-              run_share(grid.cluster(id), id, heuristic, {k, ensemble.months},
-                        fault_options, migrate_staging[c]);
-          runs[c] = ShareRun{r.makespan, r.fault};
-        },
-        threads);
+    pool.parallel_for(0, n, [&](std::size_t c) {
+      const Count k = campaign.repartition.dags_per_cluster[c];
+      const auto id = static_cast<ClusterId>(c);
+      if (k <= 0) return;
+      if (!fault_options.model.cluster_active(id)) {
+        runs[c] = ShareRun{
+            campaign.performance[c][static_cast<std::size_t>(k) - 1], {}};
+        return;
+      }
+      const SimResult r =
+          run_share(grid.cluster(id), id, heuristic, {k, ensemble.months},
+                    fault_options, migrate_staging[c]);
+      runs[c] = ShareRun{r.makespan, r.fault};
+    });
     return runs;
   };
   GridSimResult result =

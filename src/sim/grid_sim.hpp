@@ -95,7 +95,9 @@ struct GridSimResult {
 /// each candidate cluster the serialized cost of staging/collecting its
 /// files when a network is attached, (6) each cluster's makespan is its
 /// staging delay + vector entry + collection time; the grid makespan is the
-/// max. Set `threads` > 1 to compute the per-cluster vectors concurrently.
+/// max. `threads` = 1 computes the per-cluster vectors and shares one after
+/// another on the calling thread; any other value computes them concurrently
+/// on shared_pool(). The results are the same either way.
 ///
 /// With active `fault_options`, Algorithm 1 additionally charges each
 /// candidate its expected failure inflation, and every cluster with a live

@@ -195,10 +195,9 @@ LocalSearchResult local_search_grouping(const platform::Cluster& cluster,
       // Fresh candidates are independent deterministic simulations, so they
       // can run on any number of threads without affecting the values.
       fresh.assign(to_eval.size(), 0.0);
-      pool.parallel_for(
-          0, to_eval.size(),
-          [&](std::size_t i) { fresh[i] = simulate(*to_eval[i]); },
-          options.threads);
+      pool.parallel_for(0, to_eval.size(), [&](std::size_t i) {
+        fresh[i] = simulate(*to_eval[i]);
+      });
       for (std::size_t i = 0; i < to_eval.size(); ++i)
         memo.emplace(*to_eval[i], fresh[i]);
       result.evaluations += to_eval.size();

@@ -14,7 +14,11 @@
 /// every simulated makespan is memoized in the process-wide eval cache
 /// (sim/eval_cache.hpp), so repeated searches over the same cluster family
 /// get cheaper as the cache warms. The search trajectory itself is
-/// deterministic regardless of thread count or cache state.
+/// deterministic regardless of the pool's width or cache state: candidates
+/// are simulated independently and reduced sequentially in candidate order,
+/// and the evaluation budget is charged against a search-local memo that is
+/// oblivious to global-cache warmth. A call from inside a region of a
+/// zero-worker pool evaluates every neighborhood serially, in order.
 
 #include "appmodel/ensemble.hpp"
 #include "platform/cluster.hpp"
@@ -25,13 +29,6 @@ namespace oagrid::sim {
 struct LocalSearchOptions {
   int max_accepted_moves = 100;      ///< hill-climbing step budget
   std::size_t max_evaluations = 5000;  ///< total simulations allowed
-
-  /// Worker cap for neighborhood evaluation on the shared pool (0 = all
-  /// available). Results are bit-identical at any setting: candidates are
-  /// simulated independently and reduced sequentially in candidate order,
-  /// and the evaluation budget is charged against a search-local memo that
-  /// is oblivious to global-cache warmth.
-  std::size_t threads = 0;
 };
 
 struct LocalSearchResult {

@@ -39,8 +39,7 @@ std::size_t count_grouping_candidates(const platform::Cluster& cluster,
 GroupingSearchResult optimal_grouping_search(const platform::Cluster& cluster,
                                              const appmodel::Ensemble& ensemble,
                                              sched::PostPolicy policy,
-                                             std::size_t max_candidates,
-                                             std::size_t threads) {
+                                             std::size_t max_candidates) {
   ensemble.validate();
   const std::size_t count =
       count_grouping_candidates(cluster, ensemble.scenarios);
@@ -71,12 +70,10 @@ GroupingSearchResult optimal_grouping_search(const platform::Cluster& cluster,
   };
 
   // Independent deterministic simulations: safe at any thread count.
-  const std::vector<Seconds> makespans = parallel_transform(
-      shared_pool(), candidates.size(),
-      [&](std::size_t i) {
+  const std::vector<Seconds> makespans =
+      parallel_transform(shared_pool(), candidates.size(), [&](std::size_t i) {
         return cached_makespan(cluster, schedule_for(candidates[i]), ensemble);
-      },
-      threads);
+      });
 
   // Sequential first-min in enumeration order — identical winner (including
   // ties) to the serial scan.

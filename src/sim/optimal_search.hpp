@@ -27,14 +27,15 @@ struct GroupingSearchResult {
 /// R = 1000 calls). Months can be scaled down: the grouping ranking is
 /// months-stable once past a few sets.
 ///
-/// Candidates are evaluated in parallel on the shared thread pool (`threads`
-/// caps the workers, 0 = all) through the process-wide eval cache; the
-/// winner is picked by a sequential first-min scan in enumeration order, so
-/// the result is bit-identical to the serial search at any thread count.
+/// Candidates are evaluated in parallel on the shared thread pool through
+/// the process-wide eval cache; the winner is picked by a sequential
+/// first-min scan in enumeration order, so the result is bit-identical to
+/// the serial search (a call from inside a zero-worker pool's region) at any
+/// pool width.
 [[nodiscard]] GroupingSearchResult optimal_grouping_search(
     const platform::Cluster& cluster, const appmodel::Ensemble& ensemble,
     sched::PostPolicy policy = sched::PostPolicy::kPoolThenRetired,
-    std::size_t max_candidates = 200000, std::size_t threads = 0);
+    std::size_t max_candidates = 200000);
 
 /// Counts the candidate multisets without simulating (cost preview).
 [[nodiscard]] std::size_t count_grouping_candidates(

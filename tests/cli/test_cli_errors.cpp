@@ -145,7 +145,10 @@ TEST(CliErrors, OptionsASubcommandDoesNotReadAreRejected) {
       {"dynamic --recovery migrate", "--recovery"},
       {"serve --recovery migrate", "--recovery"},
       {"sweep --home 1", "--home"},
-      {"simulate --clusters 3", "--clusters"}};
+      {"simulate --clusters 3", "--clusters"},
+      {"simulate --threads 2", "unknown option --threads"},
+      {"sweep --threads 2", "unknown option --threads"},
+      {"serve --threads 1", "unknown option --threads"}};
   for (const auto& [args, flag] : cases) {
     const CliResult result = run_cli(args);
     EXPECT_NE(result.exit_code, 0) << args;

@@ -4,9 +4,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -98,15 +96,6 @@ TEST(ThreadPool, DestructionWithIdleWorkersIsClean) {
     ThreadPool pool(4);
     pool.parallel_for(0, 4, [](std::size_t) {});
   }
-}
-
-TEST(ThreadPool, MaxThreadsOneIsSequentialInOrder) {
-  ThreadPool pool(4);
-  std::vector<std::size_t> order;
-  pool.parallel_for(0, 10, [&](std::size_t i) { order.push_back(i); }, 1);
-  std::vector<std::size_t> expected(10);
-  std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, NestedRegionsRunInlineWithoutDeadlock) {
@@ -240,55 +229,6 @@ TEST(ThreadPool, ExceptionReachesOnlyItsOwnCaller) {
   }
 }
 
-TEST(ThreadPool, EachRegionsCapHoldsWhileRegionsOverlap) {
-  // Two callers with caps 2 and 3 on a 5-way pool: while both regions are
-  // open at once, neither admits more threads than its own cap.
-  ThreadPool pool(4);
-  struct Probe {
-    std::size_t cap;
-    std::atomic<int> inside{0};
-    std::atomic<int> peak{0};
-    std::mutex mutex;
-    std::set<std::thread::id> threads;
-  };
-  Probe probes[2];
-  probes[0].cap = 2;
-  probes[1].cap = 3;
-  std::atomic<bool> overlapped{true};
-  const auto run = [&](std::size_t self) {
-    Probe& probe = probes[self];
-    const Probe& other = probes[1 - self];
-    pool.parallel_for(
-        0, 64,
-        [&](std::size_t i) {
-          const int now = ++probe.inside;
-          int seen = probe.peak.load();
-          while (now > seen && !probe.peak.compare_exchange_weak(seen, now)) {
-          }
-          {
-            const std::scoped_lock lock(probe.mutex);
-            probe.threads.insert(std::this_thread::get_id());
-          }
-          if (i == 0 &&
-              !wait_until([&] { return other.peak.load() > 0; },
-                          kOverlapLimit))
-            overlapped = false;
-          std::this_thread::sleep_for(std::chrono::microseconds(300));
-          --probe.inside;
-        },
-        probe.cap);
-  };
-  std::thread a(run, 0);
-  std::thread b(run, 1);
-  a.join();
-  b.join();
-  EXPECT_TRUE(overlapped.load());
-  for (Probe& probe : probes) {
-    EXPECT_LE(static_cast<std::size_t>(probe.peak.load()), probe.cap);
-    EXPECT_LE(probe.threads.size(), probe.cap);
-  }
-}
-
 TEST(ThreadPool, ParallelTransformReturnsOrderedResults) {
   ThreadPool pool(4);
   const std::vector<std::size_t> squares =
@@ -341,15 +281,6 @@ TEST(ParallelFor, RespectsOffsetRange) {
   EXPECT_EQ(sum.load(), 145);  // 10+...+19
 }
 
-TEST(ParallelFor, SingleThreadFallbackIsSequential) {
-  std::vector<std::size_t> order;
-  shared_pool().parallel_for(
-      0, 10, [&](std::size_t i) { order.push_back(i); }, 1);
-  std::vector<std::size_t> expected(10);
-  std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(order, expected);
-}
-
 TEST(ParallelFor, PropagatesException) {
   EXPECT_THROW(shared_pool().parallel_for(0, 100,
                                           [](std::size_t i) {
@@ -359,24 +290,15 @@ TEST(ParallelFor, PropagatesException) {
                std::runtime_error);
 }
 
-TEST(ParallelFor, ManyMoreThreadsThanWork) {
-  // A cap far above the range (and the pool) is harmless.
-  std::atomic<int> count{0};
-  shared_pool().parallel_for(0, 3, [&](std::size_t) { count++; }, 64);
-  EXPECT_EQ(count.load(), 3);
-}
-
 TEST(ParallelFor, ExceptionIsFirstComeWinsWhenSerial) {
-  // Cap 1 runs in index order, so "first come" is exactly the lowest
-  // failing index — the strictest observable form of the first-come-wins
-  // propagation contract.
+  // A zero-worker pool runs in index order, so "first come" is exactly the
+  // lowest failing index — the strictest observable form of the
+  // first-come-wins propagation contract.
+  ThreadPool serial(0);
   try {
-    shared_pool().parallel_for(
-        0, 100,
-        [](std::size_t i) {
-          if (i >= 30) throw std::runtime_error("idx" + std::to_string(i));
-        },
-        1);
+    serial.parallel_for(0, 100, [](std::size_t i) {
+      if (i >= 30) throw std::runtime_error("idx" + std::to_string(i));
+    });
     FAIL() << "expected a throw";
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "idx30");
@@ -384,12 +306,11 @@ TEST(ParallelFor, ExceptionIsFirstComeWinsWhenSerial) {
 }
 
 TEST(ParallelFor, SingleThreadRunsAreDeterministic) {
+  ThreadPool serial(0);
   std::vector<std::size_t> first;
   std::vector<std::size_t> second;
-  shared_pool().parallel_for(
-      0, 64, [&](std::size_t i) { first.push_back(i); }, 1);
-  shared_pool().parallel_for(
-      0, 64, [&](std::size_t i) { second.push_back(i); }, 1);
+  serial.parallel_for(0, 64, [&](std::size_t i) { first.push_back(i); });
+  serial.parallel_for(0, 64, [&](std::size_t i) { second.push_back(i); });
   EXPECT_EQ(first, second);
 }
 

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "platform/profiles.hpp"
 #include "sched/heuristics.hpp"
@@ -237,9 +238,9 @@ TEST(CachedMakespan, MirrorsCountersIntoObsMetrics) {
 
 // ---------------------------------------------------------------------------
 // Determinism regression tests: the parallel evaluation engine must produce
-// byte-identical schedules and makespans at any thread count, on a cold or a
-// warm cache. These are the acceptance tests of the parallel-search work —
-// EXPECT_EQ on doubles is deliberate.
+// the serial run's schedules and makespans byte for byte on the whole shared
+// pool, on a cold or a warm cache. These are the acceptance tests of the
+// parallel-search work — EXPECT_EQ on doubles is deliberate.
 // ---------------------------------------------------------------------------
 
 void expect_same_search(const sim::LocalSearchResult& a,
@@ -251,28 +252,37 @@ void expect_same_search(const sim::LocalSearchResult& a,
   EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
+/// The serial reference: `search` called from inside a region of a
+/// zero-worker pool, so every shared_pool() region it opens runs inline, in
+/// index order.
+template <typename Search>
+auto serially(const Search& search) -> decltype(search()) {
+  ThreadPool serial(0);
+  decltype(search()) result;
+  serial.parallel_for(0, 1, [&](std::size_t) { result = search(); });
+  return result;
+}
+
 TEST(EvalEngineDeterminism, LocalSearchIdenticalAcrossThreadCounts) {
   const auto cluster = test_cluster(64);
   const appmodel::Ensemble ensemble{10, 20};
+  const auto search = [&] {
+    return sim::local_search_grouping(cluster, ensemble);
+  };
 
-  sim::LocalSearchOptions serial;
-  serial.threads = 1;
-  const auto reference = sim::local_search_grouping(cluster, ensemble, serial);
+  sim::eval_cache().clear();
+  const auto reference = serially(search);
   EXPECT_GT(reference.evaluations, 0u);
 
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{8}}) {
-    sim::LocalSearchOptions options;
-    options.threads = threads;
-    expect_same_search(reference,
-                       sim::local_search_grouping(cluster, ensemble, options));
-  }
+  // On the whole shared pool, from a cold cache and then a warm one.
+  sim::eval_cache().clear();
+  expect_same_search(reference, search());
+  expect_same_search(reference, search());
 
   // The cache is now fully warm for this workload; results (including the
   // evaluation count, which is charged against a search-local memo) must not
   // change.
-  expect_same_search(reference,
-                     sim::local_search_grouping(cluster, ensemble, serial));
+  expect_same_search(reference, serially(search));
 }
 
 TEST(EvalEngineDeterminism, LocalSearchTightBudgetIdenticalAcrossThreadCounts) {
@@ -284,32 +294,31 @@ TEST(EvalEngineDeterminism, LocalSearchTightBudgetIdenticalAcrossThreadCounts) {
 
   for (const std::size_t budget : {std::size_t{1}, std::size_t{7},
                                    std::size_t{40}}) {
-    sim::LocalSearchOptions serial;
-    serial.threads = 1;
-    serial.max_evaluations = budget;
-    const auto reference =
-        sim::local_search_grouping(cluster, ensemble, serial);
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{3},
-                                      std::size_t{8}}) {
-      sim::LocalSearchOptions options = serial;
-      options.threads = threads;
-      expect_same_search(
-          reference, sim::local_search_grouping(cluster, ensemble, options));
-    }
+    sim::LocalSearchOptions options;
+    options.max_evaluations = budget;
+    const auto search = [&] {
+      return sim::local_search_grouping(cluster, ensemble, options);
+    };
+    sim::eval_cache().clear();
+    const auto reference = serially(search);
+    sim::eval_cache().clear();
+    expect_same_search(reference, search());  // cold cache
+    expect_same_search(reference, search());  // warm cache
   }
 }
 
 TEST(EvalEngineDeterminism, OptimalSearchIdenticalAcrossThreadCounts) {
   const auto cluster = test_cluster(24);
   const appmodel::Ensemble ensemble{4, 8};
+  const auto search = [&] {
+    return sim::optimal_grouping_search(cluster, ensemble);
+  };
 
-  const auto reference = sim::optimal_grouping_search(
-      cluster, ensemble, sched::PostPolicy::kPoolThenRetired, 200000, 1);
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
-                                    std::size_t{8}}) {
-    const auto run = sim::optimal_grouping_search(
-        cluster, ensemble, sched::PostPolicy::kPoolThenRetired, 200000,
-        threads);
+  sim::eval_cache().clear();
+  const auto reference = serially(search);
+  sim::eval_cache().clear();
+  for (int warmth = 0; warmth < 2; ++warmth) {  // cold cache, then warm
+    const auto run = search();
     EXPECT_EQ(reference.best.group_sizes, run.best.group_sizes);
     EXPECT_EQ(reference.best.post_pool, run.best.post_pool);
     EXPECT_EQ(reference.makespan, run.makespan);

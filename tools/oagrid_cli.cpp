@@ -419,10 +419,6 @@ int cmd_simulate(const std::vector<std::string>& argv) {
       .add_option("seed", "perturbation seed", "1")
       .add_option("trace-csv", "write the execution trace to this file", "")
       .add_option("svg", "write an SVG Gantt chart to this file", "")
-      .add_option("threads",
-                  "worker cap for --optimize's parallel local search "
-                  "(0 = all)",
-                  "0")
       .add_flag("gantt", "print an ASCII Gantt chart")
       .add_flag("optimize", "refine the grouping with local search first");
   add_failure_options(args);
@@ -438,9 +434,7 @@ int cmd_simulate(const std::vector<std::string>& argv) {
   sched::GroupSchedule schedule = sched::make_schedule(
       heuristic_from(args.get("heuristic")), cluster, ensemble);
   if (args.flag("optimize")) {
-    sim::LocalSearchOptions search;
-    search.threads = static_cast<std::size_t>(args.get_int("threads"));
-    const auto refined = sim::local_search_grouping(cluster, ensemble, search);
+    const auto refined = sim::local_search_grouping(cluster, ensemble);
     std::cout << "local search: " << refined.evaluations << " simulations, "
               << refined.accepted_moves << " accepted moves\n";
     schedule = refined.best;
@@ -681,8 +675,6 @@ int cmd_sweep(const std::vector<std::string>& argv) {
       .add_option("scenarios", "independent scenarios (NS)", "10")
       .add_option("months", "months per scenario (NM)", "150")
       .add_option("profile", "built-in cluster profile 0-4", "1")
-      .add_option("threads", "worker cap for the parallel sweep (0 = all)",
-                  "0")
       .add_flag("csv", "emit CSV instead of an aligned table");
   add_failure_options(args);
   add_recovery_options(args);
@@ -721,7 +713,7 @@ int cmd_sweep(const std::vector<std::string>& argv) {
   // One cell = four heuristics on one cluster size; cells are independent and
   // every makespan flows through the eval cache, so a repeated sweep over an
   // overlapping resource range is mostly cache hits. Row order (hence output)
-  // is independent of the thread count.
+  // is independent of the pool's width.
   struct SweepCell {
     Seconds basic = 0.0;
     std::array<Seconds, 3> improved{};
@@ -742,8 +734,7 @@ int cmd_sweep(const std::vector<std::string>& argv) {
                          eval(sched::Heuristic::kAllForMain),
                          eval(sched::Heuristic::kKnapsack)};
         return cell;
-      },
-      static_cast<std::size_t>(args.get_int("threads")));
+      });
 
   TableWriter table({"R", "basic [s]", "gain1 %", "gain2 %", "gain3 %"});
   for (std::size_t i = 0; i < cells.size(); ++i) {
