@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "common/log.hpp"
 #include "common/table.hpp"
 #include "middleware/client.hpp"
 #include "middleware/master_agent.hpp"
@@ -21,8 +20,6 @@ int main(int argc, char** argv) {
   const ProcCount resources = argc > 1 ? std::atoi(argv[1]) : 30;
   const Count scenarios = argc > 2 ? std::atoll(argv[2]) : 10;
   const Count months = argc > 3 ? std::atoll(argv[3]) : 150;
-
-  set_log_level(LogLevel::kInfo);  // show the protocol steps on stderr
 
   // Deploy: one SeD per cluster (step 0 — the fleet).
   const platform::Grid grid = platform::make_builtin_grid(resources);

@@ -1,7 +1,8 @@
 /// \file resilient_campaign.cpp
 /// \brief Operating the campaign on an unreliable grid: a server daemon dies
-/// before submission, and the client's step deadline drops it instead of
-/// stranding the experiment; the surviving clusters execute the re-balanced
+/// before submission, and the client, submitting with a step deadline,
+/// drops it instead of stranding the experiment (at once: the agent answers
+/// for the stopped daemon); the surviving clusters execute the re-balanced
 /// shares.
 ///
 ///   $ ./resilient_campaign [resources-per-cluster] [scenarios] [months]

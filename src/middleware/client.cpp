@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/log.hpp"
 #include "middleware/mailbox.hpp"
 #include "obs/obs.hpp"
 
@@ -120,9 +119,13 @@ Client::FaultTolerantResult Client::run(
          gather<PerfResponse>(*reply, request_id, expected, timeout, 3))
       performance[static_cast<std::size_t>(perf.cluster)] =
           std::move(perf.performance);
-    for (ClusterId c = 0; c < expected; ++c)
-      if (performance[static_cast<std::size_t>(c)].empty())
-        dropped.push_back(c);
+    for (ClusterId c = 0; c < expected; ++c) {
+      if (!performance[static_cast<std::size_t>(c)].empty()) continue;
+      if (!timeout)
+        throw std::runtime_error("oagrid: SeD " + std::to_string(c) +
+                                 " is down");
+      dropped.push_back(c);
+    }
     if (dropped.size() == performance.size())
       throw std::runtime_error("oagrid: no cluster answered step 3 in time");
     return performance;
@@ -174,20 +177,11 @@ Client::FaultTolerantResult Client::run(
       std::count_if(transfers.begin(), transfers.end(), [&](Seconds took) {
         return took > staging.transfer_deadline;
       }));
-  if (campaign.deadline_misses > 0)
-    OAGRID_WARN << "client: " << campaign.deadline_misses
-                << " transfer(s) exceeded the " << staging.transfer_deadline
-                << " s deadline";
 
   std::sort(dropped.begin(), dropped.end());
   for (ClusterId c = 0; c < agent_.daemon_count(); ++c)
     if (!std::binary_search(dropped.begin(), dropped.end(), c))
       result.responsive.push_back(c);
-  if (!dropped.empty())
-    OAGRID_WARN << "client: " << dropped.size()
-                << " daemon(s) dropped at a step deadline";
-  OAGRID_INFO << "client: campaign finished, makespan " << campaign.makespan
-              << " s (" << campaign.transfer_mb << " MB moved)";
   return result;
 }
 

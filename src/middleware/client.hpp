@@ -37,11 +37,14 @@ class Client {
   using StagingOptions = middleware::StagingOptions;
 
   /// Runs steps 1-6 synchronously through sim::run_campaign and returns
-  /// the aggregated result. Throws if a daemon fails to answer (closed
-  /// mailbox). With a network attached, step 4 runs the charged
-  /// Algorithm 1, inputs are staged before the execute dispatch and results
-  /// ship home afterwards, in simulated time. With `faults` active, each
-  /// daemon runs its share under its cluster's failure process. Without
+  /// the aggregated result. Throws if a daemon is down when step 1 reaches
+  /// it: its agent answers for it with an empty vector. A daemon that stops
+  /// between steps 3 and 5 still blocks this call, since its share is never
+  /// delivered and its step-6 report never comes (submit_with_deadline
+  /// drops it at the deadline). With a network attached, step 4 runs the
+  /// charged Algorithm 1, inputs are staged before the execute dispatch and
+  /// results ship home afterwards, in simulated time. With `faults` active,
+  /// each daemon runs its share under its cluster's failure process. Without
   /// either (or with a free network) this is the paper's protocol exactly.
   [[nodiscard]] CampaignResult submit(const appmodel::Ensemble& ensemble,
                                       sched::Heuristic heuristic,
@@ -52,8 +55,9 @@ class Client {
   /// protocol step within `step_timeout` are dropped from the campaign (the
   /// repartition runs over the clusters that answered step 3 — a crashed
   /// SeD must not strand the whole experiment; a share whose report misses
-  /// the step-6 deadline is left out of the makespan). Throws only when
-  /// *no* cluster answers step 3.
+  /// the step-6 deadline is left out of the makespan). A daemon already down
+  /// at step 1 is dropped at once, without waiting out the deadline. Throws
+  /// only when *no* cluster answers step 3.
   struct FaultTolerantResult {
     CampaignResult campaign;
     std::vector<ClusterId> responsive;    ///< answered every step asked

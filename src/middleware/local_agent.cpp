@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/log.hpp"
-
 namespace oagrid::middleware {
 
 LocalAgent::LocalAgent(std::vector<Child> children)
@@ -32,31 +30,27 @@ LocalAgent::~LocalAgent() { stop(); }
 void LocalAgent::stop() {
   if (stopped_) return;
   stopped_ = true;
-  inbox_.send(AgentMessage{AgentShutdown{}});
   inbox_.close();
   if (thread_.joinable()) thread_.join();
 }
 
 void LocalAgent::serve() {
-  for (;;) {
-    std::optional<AgentMessage> message = inbox_.receive();
-    if (!message || std::holds_alternative<AgentShutdown>(*message)) break;
-    std::visit(
-        [this](const auto& m) {
-          using M = std::decay_t<decltype(m)>;
-          if constexpr (!std::is_same_v<M, AgentShutdown>) handle(m);
-        },
-        *message);
-  }
+  while (std::optional<AgentMessage> message = inbox_.receive())
+    std::visit([this](const auto& m) { handle(m); }, *message);
 }
 
 void LocalAgent::handle(const AgentBroadcast& broadcast) {
-  for (const Child& child : children_) {
-    if (const auto* sed = std::get_if<ServerDaemon*>(&child)) {
-      (*sed)->inbox().send(SedRequest{broadcast.request});
+  for (std::size_t c = 0; c < children_.size(); ++c) {
+    bool delivered = false;
+    if (const auto* sed = std::get_if<ServerDaemon*>(&children_[c])) {
+      delivered = (*sed)->inbox().send(SedRequest{broadcast.request});
     } else {
-      std::get<LocalAgent*>(child)->inbox().send(AgentMessage{broadcast});
+      delivered = std::get<LocalAgent*>(children_[c])->inbox().send(
+          AgentMessage{broadcast});
     }
+    if (!delivered)
+      for (const ClusterId id : child_served_[c])
+        answer_unreachable(broadcast.request, id);
   }
 }
 
@@ -71,8 +65,6 @@ void LocalAgent::handle(const AgentRoute& route) {
     }
     return;
   }
-  OAGRID_WARN << "local agent dropped execute for unknown cluster "
-              << route.target;
 }
 
 HierarchicalAgent::HierarchicalAgent(const platform::Grid& grid,
@@ -117,7 +109,8 @@ ServerDaemon& HierarchicalAgent::daemon(ClusterId id) {
 }
 
 int HierarchicalAgent::broadcast_perf_request(const PerfRequest& request) {
-  root_->inbox().send(AgentMessage{AgentBroadcast{request}});
+  if (!root_->inbox().send(AgentMessage{AgentBroadcast{request}}))
+    for (const ClusterId id : root_->served()) answer_unreachable(request, id);
   return daemon_count();
 }
 
@@ -128,8 +121,11 @@ void HierarchicalAgent::send_execute(ClusterId id,
 }
 
 void HierarchicalAgent::shutdown() {
-  // Agents first (top-down would still be safe: mailboxes drain), then SeDs.
-  for (auto& agent : agents_) agent->stop();
+  // Top-down, then the SeDs: agents_ was built from the leaves up, and each
+  // stop() forwards what its inbox holds before the children stop, so every
+  // request accepted before shutdown() reaches its daemon and is answered.
+  for (auto agent = agents_.rbegin(); agent != agents_.rend(); ++agent)
+    (*agent)->stop();
   for (auto& daemon : daemons_) daemon->stop();
 }
 

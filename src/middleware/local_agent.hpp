@@ -26,7 +26,7 @@
 namespace oagrid::middleware {
 
 /// Internal agent-to-agent message set: a broadcast that keeps fanning out,
-/// a routed execute, and shutdown.
+/// and a routed execute. An agent stops when its inbox closes.
 struct AgentBroadcast {
   PerfRequest request;
 };
@@ -34,8 +34,7 @@ struct AgentRoute {
   ClusterId target = -1;
   ExecuteRequest request;
 };
-struct AgentShutdown {};
-using AgentMessage = std::variant<AgentBroadcast, AgentRoute, AgentShutdown>;
+using AgentMessage = std::variant<AgentBroadcast, AgentRoute>;
 
 class LocalAgent {
  public:

@@ -3,13 +3,8 @@
 namespace oagrid::middleware {
 
 MasterAgent::MasterAgent(const platform::Grid& grid) {
-  for (const auto& cluster : grid.clusters()) deploy(cluster);
-}
-
-ClusterId MasterAgent::deploy(platform::Cluster cluster) {
-  const auto id = static_cast<ClusterId>(daemons_.size());
-  daemons_.push_back(std::make_unique<ServerDaemon>(id, std::move(cluster)));
-  return id;
+  for (ClusterId c = 0; c < grid.cluster_count(); ++c)
+    daemons_.push_back(std::make_unique<ServerDaemon>(c, grid.cluster(c)));
 }
 
 ServerDaemon& MasterAgent::daemon(ClusterId id) {
@@ -18,7 +13,9 @@ ServerDaemon& MasterAgent::daemon(ClusterId id) {
 }
 
 int MasterAgent::broadcast_perf_request(const PerfRequest& request) {
-  for (auto& daemon : daemons_) daemon->inbox().send(SedRequest{request});
+  for (auto& daemon : daemons_)
+    if (!daemon->inbox().send(SedRequest{request}))
+      answer_unreachable(request, daemon->id());
   return daemon_count();
 }
 

@@ -18,21 +18,16 @@ namespace oagrid::middleware {
 
 class MasterAgent final : public Deployment {
  public:
-  MasterAgent() = default;
-
   /// Boots one SeD per cluster of the grid.
   explicit MasterAgent(const platform::Grid& grid);
-
-  /// Registers an additional SeD for `cluster`; returns its id.
-  ClusterId deploy(platform::Cluster cluster);
 
   [[nodiscard]] int daemon_count() const noexcept override {
     return static_cast<int>(daemons_.size());
   }
   [[nodiscard]] ServerDaemon& daemon(ClusterId id);
 
-  /// Step (1): broadcast a performance request; responses arrive at `reply`.
-  /// Returns the number of daemons contacted.
+  /// Step (1): broadcast a performance request; responses arrive at `reply`,
+  /// answered on a stopped daemon's behalf. Returns the number of daemons.
   int broadcast_perf_request(const PerfRequest& request) override;
 
   /// Step (5): send one execution request to one daemon.

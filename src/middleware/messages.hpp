@@ -32,10 +32,7 @@ struct PerfResponse {
 struct ExecuteResponse {
   int request_id = 0;
   ClusterId cluster = 0;
-  Count scenarios_run = 0;
   Seconds makespan = 0.0;
-  Count mains_executed = 0;
-  Count posts_executed = 0;
   /// Busy fraction of the allocated processor-seconds (see SimResult).
   double group_utilization = 0.0;
   /// Lost-work accounting of a failure-injected run; zeros otherwise.
@@ -73,8 +70,7 @@ struct ExecuteRequest {
   Seconds migrate_staging = 0.0;
 };
 
-struct ShutdownRequest {};
-
-using SedRequest = std::variant<PerfRequest, ExecuteRequest, ShutdownRequest>;
+/// A daemon stops when its inbox closes, after answering what was queued.
+using SedRequest = std::variant<PerfRequest, ExecuteRequest>;
 
 }  // namespace oagrid::middleware

@@ -1,6 +1,5 @@
 #include "middleware/server_daemon.hpp"
 
-#include "common/log.hpp"
 #include "obs/obs.hpp"
 #include "sim/exporters.hpp"
 #include "sim/grid_sim.hpp"
@@ -37,31 +36,20 @@ ServerDaemon::~ServerDaemon() { stop(); }
 
 void ServerDaemon::stop() {
   if (stopped_.exchange(true, std::memory_order_acq_rel)) return;
-  inbox_.send(SedRequest{ShutdownRequest{}});
   inbox_.close();
   if (thread_.joinable()) thread_.join();
 }
 
 void ServerDaemon::serve() {
-  OAGRID_INFO << "SeD " << id_ << " (" << cluster_.name() << ", "
-              << cluster_.resources() << " procs) up";
   const bool observed = obs::enabled();
   const double up_since_us =
       observed ? obs::WallClock::instance().now_us() : 0.0;
   double busy_us = 0.0;
   std::uint64_t requests = 0;
-  for (;;) {
-    std::optional<SedRequest> request = inbox_.receive();
-    if (!request) break;
-    if (std::holds_alternative<ShutdownRequest>(*request)) break;
+  while (std::optional<SedRequest> request = inbox_.receive()) {
     const double handle_start_us =
         observed ? obs::WallClock::instance().now_us() : 0.0;
-    std::visit(
-        [this](const auto& r) {
-          using R = std::decay_t<decltype(r)>;
-          if constexpr (!std::is_same_v<R, ShutdownRequest>) handle(r);
-        },
-        *request);
+    std::visit([this](const auto& r) { handle(r); }, *request);
     if (observed) {
       busy_us += obs::WallClock::instance().now_us() - handle_start_us;
       ++requests;
@@ -76,12 +64,9 @@ void ServerDaemon::serve() {
         .gauge(prefix + ".busy_ratio")
         .set(uptime_us > 0.0 ? busy_us / uptime_us : 0.0);
   }
-  OAGRID_INFO << "SeD " << id_ << " down";
 }
 
 void ServerDaemon::handle(const PerfRequest& request) {
-  OAGRID_DEBUG << "SeD " << id_ << " perf request #" << request.request_id
-               << " NS=" << request.scenarios << " NM=" << request.months;
   obs::ScopedTimer timer(
       obs::enabled() ? &obs::metrics().histogram("middleware.sed.perf_us")
                      : nullptr);
@@ -94,15 +79,12 @@ void ServerDaemon::handle(const PerfRequest& request) {
 }
 
 void ServerDaemon::handle(const ExecuteRequest& request) {
-  OAGRID_DEBUG << "SeD " << id_ << " executes " << request.scenarios
-               << " scenario(s)";
   obs::ScopedTimer timer(
       obs::enabled() ? &obs::metrics().histogram("middleware.sed.execute_us")
                      : nullptr);
   ExecuteResponse response;
   response.request_id = request.request_id;
   response.cluster = id_;
-  response.scenarios_run = request.scenarios;
   if (request.scenarios > 0) {
     const appmodel::Ensemble ensemble{request.scenarios, request.months};
     sim::SimOptions options;
@@ -112,8 +94,6 @@ void ServerDaemon::handle(const ExecuteRequest& request) {
                        request.fault, request.migrate_staging, options);
     response.makespan = result.makespan;
     response.fault = result.fault;
-    response.mains_executed = result.mains_executed;
-    response.posts_executed = result.posts_executed;
     response.group_utilization = result.group_utilization;
     if (obs::enabled()) {
       sim::export_sim_timeline(result.trace, obs::trace_buffer(),

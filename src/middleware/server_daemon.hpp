@@ -24,7 +24,7 @@ class ServerDaemon {
   /// immediately.
   ServerDaemon(ClusterId id, platform::Cluster cluster);
 
-  /// Joins the daemon thread (sends shutdown if still running).
+  /// Stops the daemon if it is still running.
   ~ServerDaemon();
 
   ServerDaemon(const ServerDaemon&) = delete;
@@ -36,8 +36,10 @@ class ServerDaemon {
   }
   [[nodiscard]] Mailbox<SedRequest>& inbox() noexcept { return inbox_; }
 
-  /// Graceful stop: shutdown message + join. Idempotent and safe against
-  /// concurrent stop() calls (an atomic claims the join exactly once).
+  /// Graceful stop: closes the inbox, so the thread answers every request
+  /// already queued and then ends, and joins it. Later sends are refused.
+  /// Idempotent and safe against concurrent stop() calls (an atomic claims
+  /// the join exactly once).
   void stop();
 
  private:

@@ -152,7 +152,6 @@ class JournalWriter {
   /// Selects the commit discipline. Turning group commit *off* commits any
   /// pending batch first, so no record silently changes durability class.
   void set_group_commit(bool on);
-  [[nodiscard]] bool group_commit() const noexcept { return group_commit_; }
 
   /// Appends one record (length + CRC framing). Per-record mode writes and
   /// flushes immediately; group-commit mode buffers until commit().

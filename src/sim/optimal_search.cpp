@@ -38,7 +38,6 @@ std::size_t count_grouping_candidates(const platform::Cluster& cluster,
 
 GroupingSearchResult optimal_grouping_search(const platform::Cluster& cluster,
                                              const appmodel::Ensemble& ensemble,
-                                             sched::PostPolicy policy,
                                              std::size_t max_candidates) {
   ensemble.validate();
   const std::size_t count =
@@ -62,10 +61,7 @@ GroupingSearchResult optimal_grouping_search(const platform::Cluster& cluster,
   auto schedule_for = [&](const std::vector<ProcCount>& gs) {
     sched::GroupSchedule schedule;
     schedule.group_sizes = gs;
-    schedule.post_policy = policy;
-    schedule.post_pool = policy == sched::PostPolicy::kPoolThenRetired
-                             ? cluster.resources() - schedule.main_resources()
-                             : 0;
+    schedule.post_pool = cluster.resources() - schedule.main_resources();
     return schedule;
   };
 

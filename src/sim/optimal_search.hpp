@@ -21,11 +21,10 @@ struct GroupingSearchResult {
   std::size_t evaluated = 0;  ///< candidate multisets simulated
 };
 
-/// Exhaustive search over group multisets under `policy` (the leftover
-/// processors become the post pool for kPoolThenRetired). Throws if
-/// enumeration would exceed `max_candidates` (guard against accidental
-/// R = 1000 calls). Months can be scaled down: the grouping ranking is
-/// months-stable once past a few sets.
+/// Exhaustive search over group multisets; the processors left over become
+/// the post pool (kPoolThenRetired). Throws if enumeration would exceed
+/// `max_candidates` (guard against accidental R = 1000 calls). Months can be
+/// scaled down: the grouping ranking is months-stable once past a few sets.
 ///
 /// Candidates are evaluated in parallel on the shared thread pool through
 /// the process-wide eval cache; the winner is picked by a sequential
@@ -34,7 +33,6 @@ struct GroupingSearchResult {
 /// pool width.
 [[nodiscard]] GroupingSearchResult optimal_grouping_search(
     const platform::Cluster& cluster, const appmodel::Ensemble& ensemble,
-    sched::PostPolicy policy = sched::PostPolicy::kPoolThenRetired,
     std::size_t max_candidates = 200000);
 
 /// Counts the candidate multisets without simulating (cost preview).

@@ -186,6 +186,19 @@ TEST(CliErrors, ObsReportKeepsFileFormatStdoutClean) {
       << result.output;
 }
 
+TEST(CliErrors, MiddlewareWritesNothingOnStderr) {
+  // The library reports through return values: the deadline misses reach
+  // stdout through the CLI, and stderr stays empty.
+  const std::string args = "grid --months 2 --network --transfer-deadline 0.5";
+  const CliResult stderr_only = run_cli(args, "&1 1>/dev/null");
+  EXPECT_EQ(stderr_only.exit_code, 0);
+  EXPECT_EQ(stderr_only.output, "");
+  const CliResult stdout_only = run_cli(args, "/dev/null");
+  EXPECT_EQ(stdout_only.exit_code, 0);
+  EXPECT_NE(stdout_only.output.find("missed the deadline"), std::string::npos)
+      << stdout_only.output;
+}
+
 TEST(CliErrors, FailuresWithClustersRunThroughTheMiddleware) {
   const CliResult result = run_cli("grid --months 2 --clusters 3 --failures");
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -255,6 +268,31 @@ TEST(CliErrors, ServeNegativeCheckpointCadenceIsRejected) {
   expect_rejected(
       "serve --campaigns alice:3x12 --failures --checkpoint-months -2",
       "--checkpoint-months");
+}
+
+// Zero means "none" for each of these; a negative value must not mean it too.
+TEST(CliErrors, GridNegativeStepTimeoutIsRejected) {
+  expect_rejected("grid --months 2 --step-timeout -5", "--step-timeout");
+}
+
+TEST(CliErrors, GridNegativeTransferDeadlineIsRejected) {
+  expect_rejected("grid --months 2 --network --transfer-deadline -5",
+                  "--transfer-deadline");
+}
+
+TEST(CliErrors, GridNanTransferDeadlineIsRejected) {
+  expect_rejected("grid --months 2 --network --transfer-deadline nan",
+                  "--transfer-deadline");
+}
+
+TEST(CliErrors, ServeNegativeQueueCapacityIsRejected) {
+  expect_rejected("serve --campaigns alice:3x12 --queue-capacity -1",
+                  "--queue-capacity");
+}
+
+TEST(CliErrors, ServeNegativeSnapshotCadenceIsRejected) {
+  expect_rejected("serve --campaigns alice:3x12 --snapshot-every -3",
+                  "--snapshot-every");
 }
 
 TEST(CliErrors, CampaignCountsWithTrailingJunkAreRejected) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <exception>
+#include <future>
+#include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "middleware/client.hpp"
@@ -205,6 +209,76 @@ TEST(FaultTolerance, AllDeadThrows) {
                    Ensemble{4, 5}, sched::Heuristic::kBasic, 100ms),
                std::runtime_error);
   agent.shutdown();
+}
+
+/// Forwards to a real deployment and keeps the reply channel of the latest
+/// broadcast: closing it releases a client blocked waiting on it.
+class ClosableRepliesDeployment final : public Deployment {
+ public:
+  explicit ClosableRepliesDeployment(Deployment& inner) : inner_(inner) {}
+
+  [[nodiscard]] int daemon_count() const override {
+    return inner_.daemon_count();
+  }
+  int broadcast_perf_request(const PerfRequest& request) override {
+    {
+      const std::scoped_lock lock(mutex_);
+      reply_ = request.reply;
+    }
+    return inner_.broadcast_perf_request(request);
+  }
+  void send_execute(ClusterId id, const ExecuteRequest& request) override {
+    inner_.send_execute(id, request);
+  }
+  void close_replies() {
+    const std::scoped_lock lock(mutex_);
+    if (reply_) reply_->close();
+  }
+
+ private:
+  Deployment& inner_;
+  std::mutex mutex_;
+  ReplyChannel reply_;
+};
+
+/// Runs a plain Client::submit on `deployment` from a thread of its own and
+/// waits for it at most 10 s. Returns what the call threw ("" if it
+/// returned). A call still blocked at the bound fails the test, and closing
+/// its reply channel then ends it, so the thread is always joined.
+std::string submit_within_bound(Deployment& deployment) {
+  ClosableRepliesDeployment closable(deployment);
+  std::promise<std::string> outcome;
+  std::future<std::string> done = outcome.get_future();
+  std::thread caller([&closable, &outcome] {
+    try {
+      Client client(closable);
+      (void)client.submit(Ensemble{2, 6}, sched::Heuristic::kKnapsack);
+      outcome.set_value("");
+    } catch (const std::exception& e) {
+      outcome.set_value(e.what());
+    }
+  });
+  if (done.wait_for(10s) != std::future_status::ready) {
+    ADD_FAILURE() << "submit still blocked after 10 s";
+    closable.close_replies();
+  }
+  caller.join();
+  return done.get();
+}
+
+TEST(FaultTolerance, SubmitWithoutDeadlineThrowsOnADownDaemon) {
+  // Without a deadline the client waits for every daemon's vector; the agent
+  // that cannot reach a stopped SeD answers for it, and the client throws.
+  const auto grid = platform::make_builtin_grid(25).prefix(3);
+  MasterAgent flat(grid);
+  flat.daemon(1).stop();
+  EXPECT_EQ(submit_within_bound(flat), "oagrid: SeD 1 is down");
+  flat.shutdown();
+
+  HierarchicalAgent tree(grid, 2);
+  tree.daemon(2).stop();
+  EXPECT_EQ(submit_within_bound(tree), "oagrid: SeD 2 is down");
+  tree.shutdown();
 }
 
 TEST(FaultTolerance, RejectsNonPositiveTimeout) {

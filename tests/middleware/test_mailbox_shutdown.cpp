@@ -9,7 +9,10 @@
 ///  * close()-then-destroy while a sender is still inside send(): with
 ///    notify-after-unlock this is a use-after-free on the condvar, which
 ///    ThreadSanitizer flags (the CI TSan job runs this binary);
-///  * concurrent ServerDaemon::stop() from several threads joining once.
+///  * concurrent ServerDaemon::stop() from several threads joining once;
+///  * stop() (and an agent tree's shutdown()) answering every request queued
+///    before it: closing the inbox is the only stop signal, and the daemon
+///    drains what was accepted before it ends.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "middleware/local_agent.hpp"
 #include "middleware/mailbox.hpp"
 #include "middleware/server_daemon.hpp"
 #include "obs/metrics.hpp"
@@ -166,15 +170,58 @@ TEST(ServerDaemonShutdown, StopThenDestroyWithPendingSenders) {
     std::thread late_sender([&daemon_ref = *daemon] {
       // Shutdown may already have closed the inbox: sends become drops,
       // but must never crash or deadlock.
-      for (int i = 0; i < 32; ++i) {
-        SedRequest request = ShutdownRequest{};
-        (void)daemon_ref.inbox().send(std::move(request));
-      }
+      PerfRequest request;
+      request.scenarios = 1;
+      request.months = 1;
+      for (int i = 0; i < 32; ++i)
+        (void)daemon_ref.inbox().send(SedRequest{request});
     });
     daemon->stop();
     late_sender.join();
     daemon.reset();
   }
+}
+
+/// A 1x1 performance request answered at `reply`.
+PerfRequest tiny_perf_request(int id, const ReplyChannel& reply) {
+  PerfRequest request;
+  request.request_id = id;
+  request.scenarios = 1;
+  request.months = 1;
+  request.reply = reply;
+  return request;
+}
+
+TEST(ServerDaemonShutdown, StopAnswersEveryQueuedRequest) {
+  ServerDaemon daemon(0, platform::make_builtin_cluster(0, 8));
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
+  for (int id = 1; id <= 8; ++id)
+    ASSERT_TRUE(daemon.inbox().send(SedRequest{tiny_perf_request(id, reply)}));
+  daemon.stop();
+  for (int id = 1; id <= 8; ++id) {
+    const std::optional<SedResponse> response = reply->try_receive();
+    ASSERT_TRUE(response.has_value()) << "request " << id << " unanswered";
+    EXPECT_EQ(std::get<PerfResponse>(*response).request_id, id);
+  }
+  EXPECT_FALSE(reply->try_receive().has_value());
+}
+
+TEST(ServerDaemonShutdown, TreeShutdownAnswersEveryQueuedBroadcast) {
+  HierarchicalAgent tree(platform::make_builtin_grid(20), 2);
+  const auto reply = std::make_shared<Mailbox<SedResponse>>();
+  const int daemons = tree.broadcast_perf_request(tiny_perf_request(1, reply));
+  tree.shutdown();
+  const auto fleet = static_cast<std::size_t>(daemons);
+  std::vector<bool> answered(fleet, false);
+  for (int d = 0; d < daemons; ++d) {
+    const std::optional<SedResponse> response = reply->try_receive();
+    ASSERT_TRUE(response.has_value()) << d << " of " << daemons << " answered";
+    const auto& perf = std::get<PerfResponse>(*response);
+    EXPECT_EQ(perf.performance.size(), 1u) << "cluster " << perf.cluster;
+    answered[static_cast<std::size_t>(perf.cluster)] = true;
+  }
+  EXPECT_EQ(answered, std::vector<bool>(fleet, true));
+  EXPECT_FALSE(reply->try_receive().has_value());
 }
 
 }  // namespace

@@ -21,10 +21,8 @@ TEST(OptimalSearch, CandidateCountMatchesEnumeration) {
 
 TEST(OptimalSearch, CapGuards) {
   const auto c = platform::make_builtin_cluster(1, 90);
-  EXPECT_THROW(
-      (void)optimal_grouping_search(c, Ensemble{10, 4},
-                                    sched::PostPolicy::kPoolThenRetired, 10),
-      std::invalid_argument);
+  EXPECT_THROW((void)optimal_grouping_search(c, Ensemble{10, 4}, 10),
+               std::invalid_argument);
 }
 
 TEST(OptimalSearch, FindsExactOptimumOnTinyCase) {

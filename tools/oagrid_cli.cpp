@@ -173,14 +173,19 @@ void add_recovery_options(ArgParser& args) {
                   "1");
 }
 
-/// --checkpoint-months, rejected when negative (0 asks for the subcommand's
-/// automatic cadence).
+/// The integer option `name`, rejected when negative: where 0 means "none"
+/// or "automatic", a negative value must not silently mean it too.
+long long non_negative_int(const ArgParser& args, const std::string& name) {
+  const long long value = args.get_int(name);
+  if (value < 0)
+    throw std::invalid_argument("--" + name + " must be >= 0, got " +
+                                std::to_string(value));
+  return value;
+}
+
+/// --checkpoint-months (0 asks for the subcommand's automatic cadence).
 MonthIndex checkpoint_months_from(const ArgParser& args) {
-  const long long months = args.get_int("checkpoint-months");
-  if (months < 0)
-    throw std::invalid_argument("--checkpoint-months must be >= 0, got " +
-                                std::to_string(months));
-  return static_cast<MonthIndex>(months);
+  return static_cast<MonthIndex>(non_negative_int(args, "checkpoint-months"));
 }
 
 /// The failure model selected by --failures, sized to `clusters`, or nullopt
@@ -307,11 +312,15 @@ void run_grid_campaign(middleware::Deployment& deployment,
                        const appmodel::Ensemble& ensemble,
                        sched::Heuristic heuristic, const ArgParser& args) {
   const auto home = static_cast<ClusterId>(args.get_int("home"));
+  const long long timeout_ms = non_negative_int(args, "step-timeout");
+  const double budget = args.get_double("transfer-deadline");
+  if (!(budget >= 0.0))
+    throw std::invalid_argument("--transfer-deadline must be >= 0, got " +
+                                args.get("transfer-deadline"));
   middleware::Client::StagingOptions staging;
   if (const auto network = network_from(args, grid.cluster_count()))
     staging.data = sim::campaign_network_options(*network, ensemble, {}, home);
-  if (const double budget = args.get_double("transfer-deadline"); budget > 0.0)
-    staging.transfer_deadline = budget;
+  if (budget > 0.0) staging.transfer_deadline = budget;
   sim::GridFaultOptions faults;
   if (args.flag("failures")) {
     faults = fault_options_from(args, grid.cluster_count(), grid.cluster(home),
@@ -323,8 +332,7 @@ void run_grid_campaign(middleware::Deployment& deployment,
 
   middleware::Client client(deployment);
   middleware::CampaignResult result;
-  if (const long long timeout_ms = args.get_int("step-timeout");
-      timeout_ms > 0) {
+  if (timeout_ms > 0) {
     auto guarded = client.submit_with_deadline(
         ensemble, heuristic, std::chrono::milliseconds(timeout_ms), staging,
         faults);
@@ -850,9 +858,9 @@ int cmd_serve(const std::vector<std::string>& argv) {
   options.heuristic = heuristic_from(args.get("heuristic"));
   options.max_active = static_cast<int>(args.get_int("max-active"));
   options.queue_capacity =
-      static_cast<std::size_t>(args.get_int("queue-capacity"));
+      static_cast<std::size_t>(non_negative_int(args, "queue-capacity"));
   options.journal_dir = args.get("journal");
-  options.snapshot_every = args.get_int("snapshot-every");
+  options.snapshot_every = non_negative_int(args, "snapshot-every");
   options.kill_after_records = args.get_int("kill-after");
   // One journal flush per processed event; the bytes on disk are those of
   // per-record commits.
